@@ -10,6 +10,8 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/macrobench"
 	"repro/internal/model"
 	"repro/internal/validate"
 	"repro/internal/workgen"
@@ -314,4 +316,23 @@ func BenchmarkNativeThroughput(b *testing.B) {
 		insts += res.Instructions
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+}
+
+// loadedPages keeps BenchmarkProgramLoad's loads observable.
+var loadedPages int
+
+// BenchmarkProgramLoad measures one layer beneath every cell: cpu.New
+// copying each of the ten macrobenchmarks' segments into a fresh
+// memory image. It reports only the default units, all lower-is-
+// better, because benchtrack bands an unknown unit (such as MB/s) as
+// lower-is-better too, which would fail a faster load.
+func BenchmarkProgramLoad(b *testing.B) {
+	ws := macrobench.Suite()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loadedPages = 0
+		for _, w := range ws {
+			loadedPages += cpu.New(w.Prog).Mem.TouchedPages()
+		}
+	}
 }

@@ -12,7 +12,9 @@
 //	mbench bench-compare <raw.txt|BENCH.json> <dir>
 //
 // bench-record digests raw `go test -bench` output into the
-// next-numbered BENCH_<nnnn>.json in <dir>. bench-compare parses a
+// next-numbered BENCH_<nnnn>.json in <dir>, recording this machine's
+// runtime.NumCPU as num_cpu (record on the machine that ran the
+// benchmarks). bench-compare parses a
 // candidate (raw output or an already-recorded trajectory), compares
 // it against the highest-numbered trajectory in <dir>, and exits
 // non-zero when any benchmark falls outside its tolerance band — the
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"repro"
 	"repro/internal/benchtrack"
@@ -90,6 +93,7 @@ func main() {
 			fatal(err)
 		}
 		tr.ID = id
+		tr.NumCPU = runtime.NumCPU()
 		if len(os.Args) == 5 {
 			tr.Note = os.Args[4]
 		}

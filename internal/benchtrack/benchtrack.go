@@ -14,6 +14,7 @@
 //	  "note": "post hot-loop pass",
 //	  "goos": "linux", "goarch": "amd64", "cpu": "...",
 //	  "pkg": "repro",
+//	  "gomaxprocs": 2, "num_cpu": 2,
 //	  "benchmarks": {
 //	    "BenchmarkGccFull": {
 //	      "samples": 3,
@@ -27,11 +28,15 @@
 //	}
 //
 // Benchmark names are canonical: the -<GOMAXPROCS> suffix the testing
-// package appends is stripped, and repeated lines from -count=N fold
-// into one entry with N samples per metric. Every value/unit pair on a
-// benchmark line becomes a metric, so custom b.ReportMetric series
-// (insts/s, detailed_insts, speedup) ride along with ns/op, B/op and
-// allocs/op.
+// package appends is stripped into the "gomaxprocs" header field (no
+// suffix means 1; lines that disagree are a parse error), and
+// repeated lines from -count=N fold into one entry with N samples per
+// metric. Every value/unit pair on a benchmark line becomes a metric,
+// so custom b.ReportMetric series (insts/s, detailed_insts, speedup)
+// ride along with ns/op, B/op and allocs/op. "num_cpu" is the
+// recording machine's logical CPU count, which the raw output does
+// not carry; the recorder fills it in. Files recorded before the two
+// header fields existed omit them.
 //
 // Files are numbered, never overwritten: BENCH_0001.json is the first
 // recorded trajectory, and the comparator always measures a candidate
@@ -86,6 +91,8 @@ type Trajectory struct {
 	Goarch     string               `json:"goarch,omitempty"`
 	CPU        string               `json:"cpu,omitempty"`
 	Pkg        string               `json:"pkg,omitempty"`
+	GOMAXPROCS int                  `json:"gomaxprocs,omitempty"`
+	NumCPU     int                  `json:"num_cpu,omitempty"`
 	Benchmarks map[string]Benchmark `json:"benchmarks"`
 }
 
@@ -118,7 +125,7 @@ func Parse(r io.Reader) (*Trajectory, error) {
 		case strings.HasPrefix(line, "pkg: "):
 			tr.Pkg = strings.TrimSpace(line[len("pkg: "):])
 		case strings.HasPrefix(line, "Benchmark"):
-			if err := parseResultLine(line, acc); err != nil {
+			if err := parseResultLine(line, tr, acc); err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineno, err)
 			}
 		}
@@ -152,9 +159,10 @@ func Parse(r io.Reader) (*Trajectory, error) {
 }
 
 // parseResultLine digests one `BenchmarkName-8  N  v unit  v unit...`
-// line into the accumulator. A bare "BenchmarkX" line with no fields
-// (the name echo printed before the result) is skipped.
-func parseResultLine(line string, acc map[string]*series) error {
+// line into the accumulator, recording its GOMAXPROCS in tr. A bare
+// "BenchmarkX" line with no fields (the name echo printed before the
+// result) is skipped.
+func parseResultLine(line string, tr *Trajectory, acc map[string]*series) error {
 	// Names and units become JSON object keys; invalid UTF-8 would be
 	// silently rewritten to U+FFFD on save, breaking the round trip.
 	if !utf8.ValidString(line) {
@@ -167,7 +175,15 @@ func parseResultLine(line string, acc map[string]*series) error {
 	if len(f) < 2 || len(f)%2 != 0 {
 		return fmt.Errorf("malformed benchmark line %q", line)
 	}
-	name := canonicalName(f[0])
+	name, procs := splitProcs(f[0])
+	switch {
+	case procs < 1:
+		return fmt.Errorf("GOMAXPROCS suffix %d in %q", procs, f[0])
+	case tr.GOMAXPROCS == 0:
+		tr.GOMAXPROCS = procs
+	case procs != tr.GOMAXPROCS:
+		return fmt.Errorf("%s ran at GOMAXPROCS %d, earlier lines at %d", name, procs, tr.GOMAXPROCS)
+	}
 	iters, err := strconv.ParseUint(f[1], 10, 64)
 	if err != nil {
 		return fmt.Errorf("bad iteration count in %q: %v", line, err)
@@ -190,13 +206,15 @@ func parseResultLine(line string, acc map[string]*series) error {
 	return nil
 }
 
-// canonicalName strips the -<GOMAXPROCS> suffix the testing package
-// appends, so trajectories recorded at different parallelism compare.
-func canonicalName(name string) string {
+// splitProcs splits the -<GOMAXPROCS> suffix the testing package
+// appends off a result line's name, so trajectories recorded at
+// different parallelism compare by name. The testing package omits
+// the suffix at GOMAXPROCS 1.
+func splitProcs(name string) (string, int) {
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
 }

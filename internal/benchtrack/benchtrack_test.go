@@ -11,10 +11,10 @@ const sampleOutput = `goos: linux
 goarch: amd64
 pkg: repro
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkGccFull            	       4	 286401563 ns/op	    750000 detailed_insts	 1068224 B/op	     119 allocs/op
-BenchmarkGccFull            	       4	 290100000 ns/op	    750000 detailed_insts	 1068230 B/op	     119 allocs/op
+BenchmarkGccFull-8          	       4	 286401563 ns/op	    750000 detailed_insts	 1068224 B/op	     119 allocs/op
+BenchmarkGccFull-8          	       4	 290100000 ns/op	    750000 detailed_insts	 1068230 B/op	     119 allocs/op
 BenchmarkGccSampled-8       	      12	  98001111 ns/op	    150000 detailed_insts	         5.000 speedup	 1073061 B/op	     143 allocs/op
-BenchmarkSimAlphaThroughput 	      58	  21365910 ns/op	   7582419 insts/s	  809696 B/op	      72 allocs/op
+BenchmarkSimAlphaThroughput-8	      58	  21365910 ns/op	   7582419 insts/s	  809696 B/op	      72 allocs/op
 PASS
 ok  	repro	195.892s
 `
@@ -47,8 +47,11 @@ func TestParse(t *testing.T) {
 		t.Errorf("ns/op mean = %v, want %v", ns.Mean, want)
 	}
 
-	// The -8 GOMAXPROCS suffix is stripped to the canonical name, and
-	// custom metrics survive.
+	// The -8 GOMAXPROCS suffix is stripped to the canonical name and
+	// recorded in the header, and custom metrics survive.
+	if tr.GOMAXPROCS != 8 {
+		t.Errorf("GOMAXPROCS = %d, want 8", tr.GOMAXPROCS)
+	}
 	sampled, ok := tr.Benchmarks["BenchmarkGccSampled"]
 	if !ok {
 		t.Fatal("BenchmarkGccSampled-8 not canonicalized")
@@ -77,6 +80,58 @@ func TestParseRejectsGarbageResultLines(t *testing.T) {
 	}
 	if _, err := Parse(strings.NewReader("PASS\nok x 1s\n")); err == nil {
 		t.Error("Parse with no benchmark lines succeeded, want error")
+	}
+}
+
+func TestParseGOMAXPROCSSuffix(t *testing.T) {
+	for _, tc := range []struct {
+		line  string
+		procs int
+	}{
+		{"BenchmarkX 1 5 ns/op", 1}, // the testing package omits -1
+		{"BenchmarkX-2 1 5 ns/op", 2},
+		{"BenchmarkX-16 1 5 ns/op", 16},
+	} {
+		tr, err := Parse(strings.NewReader(tc.line + "\n"))
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.line, err)
+		}
+		if tr.GOMAXPROCS != tc.procs {
+			t.Errorf("Parse(%q): GOMAXPROCS = %d, want %d", tc.line, tr.GOMAXPROCS, tc.procs)
+		}
+		if _, ok := tr.Benchmarks["BenchmarkX"]; !ok {
+			t.Errorf("Parse(%q): name not canonicalized: %v", tc.line, tr.Benchmarks)
+		}
+	}
+}
+
+func TestParseRejectsDisagreeingGOMAXPROCS(t *testing.T) {
+	for _, bad := range []string{
+		"BenchmarkA-2 1 5 ns/op\nBenchmarkB-4 1 5 ns/op\n",
+		"BenchmarkA 1 5 ns/op\nBenchmarkA-2 1 5 ns/op\n", // no suffix is 1
+		"BenchmarkA-0 1 5 ns/op\n",
+	} {
+		if _, err := Parse(strings.NewReader(bad)); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestLoadTrajectoriesWithoutHeaderCounts loads the committed files
+// recorded before gomaxprocs and num_cpu existed.
+func TestLoadTrajectoriesWithoutHeaderCounts(t *testing.T) {
+	paths, err := filepath.Glob("../../bench/BENCH_000[1-5].json")
+	if err != nil || len(paths) != 5 {
+		t.Fatalf("committed trajectories = %v, %v; want BENCH_0001..0005", paths, err)
+	}
+	for _, p := range paths {
+		tr, err := Load(p)
+		if err != nil {
+			t.Fatalf("Load(%s): %v", p, err)
+		}
+		if tr.GOMAXPROCS != 0 || tr.NumCPU != 0 || len(tr.Benchmarks) == 0 {
+			t.Errorf("%s: gomaxprocs %d, num_cpu %d, %d benchmarks", p, tr.GOMAXPROCS, tr.NumCPU, len(tr.Benchmarks))
+		}
 	}
 }
 
@@ -223,6 +278,26 @@ func TestCompareRenameTieBreak(t *testing.T) {
 	}
 	if len(rep.New) != 1 || rep.New[0] != "BenchmarkUnrelated" {
 		t.Errorf("New = %v, want the unpaired candidate", rep.New)
+	}
+}
+
+func TestCompareNotesGOMAXPROCS(t *testing.T) {
+	base := mkTraj("BenchmarkA", map[string]float64{"ns/op": 100})
+	cand := mkTraj("BenchmarkA", map[string]float64{"ns/op": 100})
+	base.GOMAXPROCS, cand.GOMAXPROCS = 2, 4
+	rep := Compare(base, cand, nil)
+	if !rep.OK() || len(rep.Notes) != 1 {
+		t.Fatalf("differing GOMAXPROCS: OK %v, notes %q; want a note and no violation", rep.OK(), rep.Notes)
+	}
+	if !strings.Contains(rep.String(), "note: candidate ran at GOMAXPROCS 4, baseline at 2") {
+		t.Errorf("report does not print the note:\n%s", rep)
+	}
+	// An unrecorded baseline (an older file) and an equal one: no note.
+	for _, procs := range []int{0, 4} {
+		base.GOMAXPROCS = procs
+		if rep := Compare(base, cand, nil); len(rep.Notes) != 0 {
+			t.Errorf("baseline GOMAXPROCS %d: unexpected notes %q", procs, rep.Notes)
+		}
 	}
 }
 

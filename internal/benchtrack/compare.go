@@ -88,6 +88,9 @@ type Report struct {
 	// violation line naming the successor, instead of a missing
 	// violation plus an unexplained new-benchmark note.
 	Renamed []Rename
+	// Notes are caveats that never fail the comparison, such as a
+	// candidate run at a different GOMAXPROCS than its baseline.
+	Notes []string
 }
 
 // OK reports whether the candidate is within every band.
@@ -106,6 +109,9 @@ func (r *Report) String() string {
 	}
 	for _, n := range r.New {
 		fmt.Fprintf(&b, "  new benchmark (not compared): %s\n", n)
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
 	return b.String()
 }
@@ -126,6 +132,11 @@ func Compare(base, cand *Trajectory, bandFor func(unit string) Band) *Report {
 		bandFor = DefaultBand
 	}
 	rep := &Report{}
+	if base.GOMAXPROCS != 0 && cand.GOMAXPROCS != 0 && base.GOMAXPROCS != cand.GOMAXPROCS {
+		rep.Notes = append(rep.Notes, fmt.Sprintf(
+			"candidate ran at GOMAXPROCS %d, baseline at %d: parallel benchmarks are not like for like",
+			cand.GOMAXPROCS, base.GOMAXPROCS))
+	}
 	for _, name := range sortedKeys(base.Benchmarks) {
 		bb := base.Benchmarks[name]
 		cb, ok := cand.Benchmarks[name]

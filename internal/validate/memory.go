@@ -186,16 +186,20 @@ func Memory(opt Options) (MemoryResult, error) {
 
 	// --- Microbenchmark table: native vs flat vs default DDR on the
 	// calibration workloads (the descent's start point, for context).
-	microGrids, err := runGrid(opt, []factory{
-		func() core.Machine { return model.NewNative() },
+	// Native is the descent's reference and default DDR its origin
+	// point, already in the engine's cache; only flat is simulated.
+	origin, _, err := eng.Run(ctx, space, []sweep.Point{space.Origin()})
+	if err != nil {
+		return out, err
+	}
+	flatGrid, err := runGrid(opt, []factory{
 		func() core.Machine { return model.NewAlpha(model.DefaultAlphaConfig()) },
-		buildOf(model.SimAlphaDDRConfig()),
 	}, calWS)
 	if err != nil {
 		return out, err
 	}
-	for _, w := range calWS {
-		nat, flat, ddr := microGrids[0][w.Name], microGrids[1][w.Name], microGrids[2][w.Name]
+	for i, w := range calWS {
+		nat, flat, ddr := ref[i], flatGrid[0][w.Name], origin[0].Results[i]
 		out.Micro = append(out.Micro, MemoryMicroRow{
 			Workload:  w.Name,
 			NativeCPI: nat.CPI(),

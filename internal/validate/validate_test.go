@@ -3,6 +3,9 @@ package validate
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/model"
+	"repro/internal/simcache"
 )
 
 // quick caps run lengths so the whole experiment suite stays fast in
@@ -165,6 +168,20 @@ func TestMemoryCalibrationShape(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "best:") {
 		t.Error("rendering missing best line")
+	}
+}
+
+// TestDDRSpaceOriginIsDefault pins the memory experiment's reuse of
+// the descent's origin point as its default-DDR column: the origin
+// must fingerprint exactly as the sim-alpha-ddr backend's config.
+func TestDDRSpaceOriginIsDefault(t *testing.T) {
+	space := ddrSpace()
+	cfg, err := space.Config(space.Origin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := simcache.Fingerprint(cfg), simcache.Fingerprint(model.SimAlphaDDRConfig()); got != want {
+		t.Errorf("ddrSpace origin fingerprint %s, sim-alpha-ddr %s", got, want)
 	}
 }
 

@@ -117,10 +117,15 @@ func (m *Memory) Write32(addr uint64, v uint32) {
 	}
 }
 
-// SetBytes copies b into memory starting at addr.
+// SetBytes copies b into memory starting at addr, one page lookup
+// and one copy per page the span touches. Like SetByte it allocates
+// every page it writes, zero bytes included, and the address wraps
+// past the top of the 64-bit space.
 func (m *Memory) SetBytes(addr uint64, b []byte) {
-	for i, c := range b {
-		m.SetByte(addr+uint64(i), c)
+	for len(b) > 0 {
+		n := copy(m.page(addr>>PageBits, true)[addr&PageMask:], b)
+		addr += uint64(n)
+		b = b[n:]
 	}
 }
 
