@@ -1,8 +1,6 @@
 package alpha
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -10,10 +8,9 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/isa"
 	"repro/internal/predict"
-	"repro/internal/vm"
 )
 
-// Compat fingerprints the warm-relevant configuration: the memory
+// compat fingerprints the warm-relevant configuration: the memory
 // hierarchy, the warmed-predictor geometry, and the mapping policy.
 // Machines that differ only in core parameters (ROB size, issue
 // widths, latencies, feature toggles) share a fingerprint, so one
@@ -21,7 +18,7 @@ import (
 // The rendering is hashed so the tag is a fixed-width opaque token —
 // usable in filenames and log lines, never colliding on a shared
 // struct-rendering prefix.
-func (m *Machine) Compat() string {
+func (m *Machine) compat() string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier   cache.HierarchyConfig
 		Tour   predict.TournamentConfig
@@ -29,164 +26,76 @@ func (m *Machine) Compat() string {
 	}{m.cfg.Hier, m.cfg.Tour, m.cfg.NewMapper().Name()})))
 }
 
-// warmer returns the functional-warming hook: every record is run
-// through the caches (per-line on the I-side, as fetch does) and the
-// direction predictor, and a warm I-miss triggers the same sequential
-// line prefetches the timed front end issues — without them, warmed
-// I-cache contents drift measurably from timed history (both the
-// extra coverage and the pollution are missing) and checkpointed
-// sampling reads biased-fast. This single function defines what "warm
-// state" means for the 21264-family models — recording, sampled-run
-// skips, and warm fast-forward all use it, which is what makes a
-// restored checkpoint indistinguishable from a cold warmed-forward
-// run.
-func warmer(cfg Config, hier *cache.Hierarchy, tour *predict.Tournament, line *predict.Line, way *predict.Way) func(cpu.Record) {
-	warmLine := uint64(1) << 63
-	// Fetch-packet reconstruction for line/way-predictor training:
-	// packets are maximal runs of sequential instructions within one
-	// octaword (capped at FetchWidth) ending at the first taken
-	// branch — exactly how the front end forms them, minus the
-	// occasional split when the ROB backs up. When a packet ends, the
-	// line predictor learns the next packet's address and the way
-	// predictor the packet's resident I-cache way, as fetch trains
-	// them.
-	pktStart := uint64(1) << 63
-	pktLen := 0
-	var pktPrev cpu.Record
-	return func(rec cpu.Record) {
-		if ln := rec.PC &^ 63; ln != warmLine {
-			if miss := hier.WarmInst(rec.PC); miss && cfg.Feat.IPrefetch {
-				for i := 1; i <= 4; i++ {
-					hier.WarmPrefetchInst(rec.PC + uint64(i*cfg.Hier.L1I.BlockBytes))
-				}
-			}
-			warmLine = ln
-		}
-		switch {
-		case pktLen == 0:
-			pktStart, pktLen = rec.PC, 1
-		case pktLen < cfg.FetchWidth &&
-			!(pktPrev.IsBranch() && pktPrev.Taken) &&
-			rec.PC == pktPrev.PC+isa.WordBytes &&
-			rec.PC&^15 == pktStart&^15:
-			pktLen++
-		default:
-			line.Train(pktStart, rec.PC)
-			set, w := hier.InstPlacement(pktStart)
-			way.Train(set, w)
-			pktStart, pktLen = rec.PC, 1
-		}
-		pktPrev = rec
-		cls := rec.Inst.Op.Class()
-		if cls.IsMem() {
-			hier.WarmData(rec.EA, cls.IsStore())
-		} else if cls == isa.ClassCondBr {
-			tour.Resolve(rec.PC, rec.Taken)
-		}
-	}
-}
-
 // RecordCheckpoints implements core.CheckpointRecorder: one
 // functional pass over the workload, warming caches and the
-// tournament predictor exactly as a timed run's skip path would, with
-// a state snapshot at each requested position (dynamic instructions
-// past the workload's FastForward point, strictly ascending).
+// tournament, line and way predictors exactly as a timed run's skip
+// path would, with a state snapshot at each requested position.
 func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	if len(positions) == 0 {
-		return nil, fmt.Errorf("alpha: no checkpoint positions requested")
-	}
-	for i := 1; i < len(positions); i++ {
-		if positions[i] <= positions[i-1] {
-			return nil, fmt.Errorf("alpha: checkpoint positions not strictly ascending at %d", i)
-		}
-	}
-	if w.NewSource != nil || w.Prog == nil {
-		return nil, fmt.Errorf("alpha: checkpoints require a program workload, not a trace source")
-	}
-	c := cpu.New(w.Prog)
-	cpu.Skip(c, w.FastForward)
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	tour := predict.NewTournament(m.cfg.Tour)
-	line := predict.NewLine(m.cfg.Hier.L1I.SizeBytes / 16)
-	way := predict.NewWay(m.cfg.Hier.L1I.Sets())
-	warm := warmer(m.cfg, hier, tour, line, way)
-	compat := m.Compat()
-
-	out := make([]*checkpoint.State, 0, len(positions))
-	var consumed uint64
-	for _, pos := range positions {
-		for consumed < pos {
-			rec, ok := c.Next()
-			if !ok {
-				return nil, fmt.Errorf("alpha: %s: stream ended at %d instructions, checkpoint wanted %d",
-					w.Name, consumed, pos)
-			}
-			warm(rec)
-			consumed++
-		}
-		cs, err := c.Export()
-		if err != nil {
-			return nil, fmt.Errorf("alpha: %s: %w", w.Name, err)
-		}
-		hs, err := hier.ExportWarm()
-		if err != nil {
-			return nil, fmt.Errorf("alpha: %s: %w", w.Name, err)
-		}
-		ts := tour.Export()
-		ls := line.Export()
-		ws := way.Export()
-		out = append(out, &checkpoint.State{
-			Model:    checkpoint.ModelAlpha,
-			Machine:  m.cfg.MachineName,
-			Compat:   compat,
-			Workload: w.Name,
-			Position: pos,
-			CPU:      cs,
-			Pages:    c.Mem.ExportPages(),
-			Hier:     hs,
-			Tour:     &ts,
-			Line:     &ls,
-			Way:      &ws,
-		})
-	}
-	return out, nil
+	return core.Record(m.spec(), w, positions)
 }
 
-// restoreSim builds a sim resuming from a checkpoint: architectural
-// state and memory image from the blob, warmed hierarchy and
-// predictor imported into freshly built structures, timing-only
-// machinery (MAFs, buses, DRAM, the unwarmed predictors) in reset
-// state — exactly where a cold warmed-forward run stands at the same
-// position.
-func (m *Machine) restoreSim(w core.Workload) (*sim, error) {
-	st := w.Checkpoint
-	if err := st.CompatibleWith(checkpoint.ModelAlpha, m.Compat()); err != nil {
-		return nil, err
+// Warm implements core.Kernel, the functional-warming path: every
+// record is run through the caches (per-line on the I-side, as fetch
+// does) and the direction predictor, and a warm I-miss triggers the
+// same sequential line prefetches the timed front end issues —
+// without them, warmed I-cache contents drift measurably from timed
+// history (both the extra coverage and the pollution are missing) and
+// checkpointed sampling reads biased-fast.
+//
+// It also reconstructs fetch packets for line/way-predictor training:
+// packets are maximal runs of sequential instructions within one
+// octaword (capped at FetchWidth) ending at the first taken branch —
+// exactly how the front end forms them, minus the occasional split
+// when the ROB backs up. When a packet ends, the line predictor learns
+// the next packet's address and the way predictor the packet's
+// resident I-cache way, as fetch trains them.
+func (s *sim) Warm(rec cpu.Record) {
+	hier := s.hier
+	if ln := rec.PC &^ 63; ln != s.warmLine {
+		if miss := hier.WarmInst(rec.PC); miss && s.cfg.Feat.IPrefetch {
+			for i := 1; i <= 4; i++ {
+				hier.WarmPrefetchInst(rec.PC + uint64(i*s.cfg.Hier.L1I.BlockBytes))
+			}
+		}
+		s.warmLine = ln
 	}
-	if st.Workload != w.Name {
-		return nil, fmt.Errorf("alpha: checkpoint recorded workload %q, restoring %q", st.Workload, w.Name)
+	switch {
+	case s.pktLen == 0:
+		s.pktStart, s.pktLen = rec.PC, 1
+	case s.pktLen < s.cfg.FetchWidth &&
+		!(s.pktPrev.IsBranch() && s.pktPrev.Taken) &&
+		rec.PC == s.pktPrev.PC+isa.WordBytes &&
+		rec.PC&^15 == s.pktStart&^15:
+		s.pktLen++
+	default:
+		s.line.Train(s.pktStart, rec.PC)
+		set, w := hier.InstPlacement(s.pktStart)
+		s.way.Train(set, w)
+		s.pktStart, s.pktLen = rec.PC, 1
 	}
-	mem := vm.NewMemory()
-	mem.ImportPages(st.Pages)
-	c := cpu.Restore(w.Prog, mem, st.CPU)
-	var src cpu.Source = c
-	if w.MaxInstructions > 0 {
-		src = &cpu.Limited{Src: c, Max: w.MaxInstructions}
+	s.pktPrev = rec
+	cls := rec.Inst.Op.Class()
+	if cls.IsMem() {
+		hier.WarmData(rec.EA, cls.IsStore())
+	} else if cls == isa.ClassCondBr {
+		s.tour.Resolve(rec.PC, rec.Taken)
 	}
-	cur := core.NewSampleCursor(w.Sample)
-	s := newSim(m.cfg, m.memory(), cur.Wrap(src))
-	s.cur = cur
-	if err := s.hier.ImportWarm(st.Hier); err != nil {
-		return nil, fmt.Errorf("alpha: restore: %w", err)
-	}
+}
+
+// ExportWarm implements core.Kernel: the tournament, line and way
+// predictors are all warmed state.
+func (s *sim) ExportWarm(st *checkpoint.State) {
+	ts, ls, ws := s.tour.Export(), s.line.Export(), s.way.Export()
+	st.Tour, st.Line, st.Way = &ts, &ls, &ws
+}
+
+// ImportWarm implements core.Kernel.
+func (s *sim) ImportWarm(st *checkpoint.State) error {
 	if err := s.tour.Import(*st.Tour); err != nil {
-		return nil, fmt.Errorf("alpha: restore: %w", err)
+		return err
 	}
 	if err := s.line.Import(*st.Line); err != nil {
-		return nil, fmt.Errorf("alpha: restore: %w", err)
+		return err
 	}
-	if err := s.way.Import(*st.Way); err != nil {
-		return nil, fmt.Errorf("alpha: restore: %w", err)
-	}
-	return s, nil
+	return s.way.Import(*st.Way)
 }

@@ -137,9 +137,6 @@ func (s *sim) fetch() {
 		}
 		if pred != rec.Taken && mispredictIdx < 0 {
 			mispredictIdx = i
-			if s.DebugMispredictPCs != nil {
-				s.DebugMispredictPCs[rec.PC]++
-			}
 		}
 	}
 

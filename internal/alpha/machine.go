@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -60,56 +61,19 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Run implements core.Machine.
 func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	if err := w.CheckRestore(); err != nil {
-		return core.RunResult{}, err
+	return core.Drive(m.spec(), w)
+}
+
+// spec describes the machine to the run driver; its kernel is a
+// fresh pipeline (*sim).
+func (m *Machine) spec() core.Spec {
+	return core.Spec{
+		Machine: m.cfg.MachineName,
+		Family:  checkpoint.ModelAlpha,
+		Events:  events.ModelAlpha,
+		Compat:  m.compat,
+		New:     func() core.Kernel { return newSim(m.cfg, m.memory()) },
 	}
-	var s *sim
-	if w.Checkpoint != nil {
-		var err error
-		if s, err = m.restoreSim(w); err != nil {
-			return core.RunResult{}, err
-		}
-	} else {
-		cur := core.NewSampleCursor(w.Sample)
-		s = newSim(m.cfg, m.memory(), cur.Wrap(w.Source()))
-		s.cur = cur
-	}
-	cur := s.cur
-	cur.SetSync(func(c *events.Collector) {
-		s.hier.FoldMemEvents(c)
-	})
-	// Functional warming: during sampling skips, run every record
-	// through the caches (per-line on the I-side, as fetch does) and
-	// the direction predictor, so measured windows see stale-warm
-	// structures instead of ones frozen at the previous interval.
-	cur.SetWarm(warmer(s.cfg, s.hier, s.tour, s.line, s.way))
-	if w.WarmFastForward > 0 {
-		// Cold half of the checkpoint determinism invariant: consume
-		// the prefix through the warming path, then time the rest.
-		warm := warmer(s.cfg, s.hier, s.tour, s.line, s.way)
-		for i := uint64(0); i < w.WarmFastForward; i++ {
-			rec, ok := s.src.Next()
-			if !ok {
-				return core.RunResult{}, fmt.Errorf("%s/%s: stream ended at %d instructions during warm fast-forward (wanted %d)",
-					m.cfg.MachineName, w.Name, i, w.WarmFastForward)
-			}
-			warm(rec)
-		}
-	}
-	if err := s.run(); err != nil {
-		return core.RunResult{}, fmt.Errorf("%s/%s: %w", m.cfg.MachineName, w.Name, err)
-	}
-	stack := s.col.Finish(s.cycle)
-	res := core.RunResult{
-		Machine:      m.cfg.MachineName,
-		Workload:     w.Name,
-		Instructions: s.retired,
-		Cycles:       s.cycle,
-		Counters:     s.counters(),
-		Breakdown:    &stack,
-	}
-	cur.Finalize(&res, events.ModelAlpha)
-	return res, nil
 }
 
 // entry is one in-flight instruction in the reorder buffer.
@@ -243,11 +207,14 @@ type sim struct {
 	// (nil — and every call on it a no-op — for full runs).
 	cur *core.SampleCursor
 
-	// DebugMispredictPCs, when non-nil, counts direction mispredicts per PC.
-	DebugMispredictPCs map[uint64]uint64
+	// Functional-warming state (see Warm): the last I-cache line
+	// warmed, and the fetch packet being reconstructed.
+	warmLine, pktStart uint64
+	pktLen             int
+	pktPrev            cpu.Record
 }
 
-func newSim(cfg Config, mem cache.Memory, src cpu.Source) *sim {
+func newSim(cfg Config, mem cache.Memory) *sim {
 	// A deeper register file lengthens the pipeline: every recovery
 	// that refills the front end pays the extra read stages.
 	if d := cfg.RFReadCycles - 1; d > 0 {
@@ -258,7 +225,6 @@ func newSim(cfg Config, mem cache.Memory, src cpu.Source) *sim {
 	hier := cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem)
 	return &sim{
 		cfg:       cfg,
-		src:       src,
 		hier:      hier,
 		tour:      predict.NewTournament(cfg.Tour),
 		line:      predict.NewLine(cfg.Hier.L1I.SizeBytes / 16),
@@ -272,6 +238,8 @@ func newSim(cfg Config, mem cache.Memory, src cpu.Source) *sim {
 		mapInum:   1,
 		issueBase: 1,
 		wakeAt:    ^uint64(0),
+		warmLine:  1 << 63,
+		pktStart:  1 << 63,
 	}
 }
 
@@ -296,12 +264,15 @@ func (s *sim) schedule(t uint64) {
 	}
 }
 
-// counters renders the schema-defined counter map for this model
-// family, folding in the hierarchy-owned tallies (by idempotent Set:
-// a sampled run has already folded them at snapshot points).
-func (s *sim) counters() map[string]uint64 {
-	s.hier.FoldMemEvents(&s.col)
-	return s.col.Counters(events.ModelAlpha)
+// Hier implements core.Kernel.
+func (s *sim) Hier() *cache.Hierarchy { return s.hier }
+
+// Time implements core.Kernel: the pipeline times src until the
+// stream drains and the ROB empties.
+func (s *sim) Time(src cpu.Source, cur *core.SampleCursor) (uint64, uint64, *events.Collector, error) {
+	s.src, s.cur = src, cur
+	err := s.run()
+	return s.cycle, s.retired, &s.col, err
 }
 
 // blockFetch stalls the front end until the given cycle, recording

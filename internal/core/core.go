@@ -53,8 +53,8 @@ type Workload struct {
 	Checkpoint *checkpoint.State
 }
 
-// CheckRestore validates the restore-related workload fields.
-func (w Workload) CheckRestore() error {
+// checkRestore validates the restore-related workload fields.
+func (w Workload) checkRestore() error {
 	if w.WarmFastForward > 0 && w.Sample != nil {
 		return fmt.Errorf("core: workload %s sets both WarmFastForward and Sample", w.Name)
 	}

@@ -136,12 +136,12 @@ func (r SampledRun) Speedup() float64 {
 //
 //   - Wrap the workload source so the pipeline sees only the
 //     detailed regions (warmup+measure per period), with the gaps
-//     consumed functionally via cpu.Skip.
+//     consumed through the kernel's functional-warming path.
 //   - Observe retirements (OnRetire) to open and close measurement
 //     windows by snapshot/delta over the model's event Collector.
 //
 // A nil *SampleCursor is valid and inert: every method is a no-op
-// (Wrap returns the source unchanged), so models thread it
+// (wrap returns the source unchanged), so kernels thread it
 // unconditionally and full runs stay byte-identical.
 type SampleCursor struct {
 	plan SamplePlan
@@ -151,18 +151,16 @@ type SampleCursor struct {
 	skipped uint64 // of those, functionally skipped
 	done    bool   // stream exhausted or MaxIntervals reached
 
-	// sync, when set, is called immediately before every collector
-	// snapshot and delta so counters owned outside the pipeline core
-	// (hierarchy DRAM accesses, prefetches) are folded in first.
-	sync func(*events.Collector)
-
-	// warm, when set, is called for every record a functional skip
-	// consumes, so the model can keep its long-lived structures —
-	// caches, branch predictors — warm through the gap ("functional
-	// warming"). Without it, every measured window re-pays misses on
-	// state the skipped region would have installed, biasing the CPI
-	// estimate upward far beyond what warmup instructions can absorb.
-	warm func(cpu.Record)
+	// k is the kernel being timed. Every record a functional skip
+	// consumes goes through k.Warm, so the model keeps its long-lived
+	// structures — caches, branch predictors — warm through the gap
+	// ("functional warming"); without it, every measured window
+	// re-pays misses on state the skipped region would have
+	// installed, biasing the CPI estimate upward far beyond what
+	// warmup instructions can absorb. Before every collector snapshot
+	// and delta, k.Hier's counters (DRAM accesses, prefetches) are
+	// folded in, since they are owned outside the pipeline core.
+	k Kernel
 
 	// measurement state
 	measuring  bool
@@ -177,36 +175,20 @@ type SampleCursor struct {
 	samples []IntervalSample
 }
 
-// NewSampleCursor returns a cursor for the plan, or nil (inert) when
-// the plan is nil. The plan must already be Check-validated.
-func NewSampleCursor(p *SamplePlan) *SampleCursor {
+// newSampleCursor returns a cursor timing kernel k under the plan,
+// or nil (inert) when the plan is nil. The plan must already be
+// Check-validated.
+func newSampleCursor(p *SamplePlan, k Kernel) *SampleCursor {
 	if p == nil {
 		return nil
 	}
-	return &SampleCursor{plan: *p}
+	return &SampleCursor{plan: *p, k: k}
 }
 
-// Active reports whether the cursor drives a sampled run.
-func (c *SampleCursor) Active() bool { return c != nil }
-
-// SetSync registers the pre-snapshot counter fold (see sync field).
-func (c *SampleCursor) SetSync(f func(*events.Collector)) {
-	if c != nil {
-		c.sync = f
-	}
-}
-
-// SetWarm registers the functional-warming hook (see warm field).
-func (c *SampleCursor) SetWarm(f func(cpu.Record)) {
-	if c != nil {
-		c.warm = f
-	}
-}
-
-// Wrap returns a source delivering only the plan's detailed regions
+// wrap returns a source delivering only the plan's detailed regions
 // of src, consuming the gaps functionally. A nil cursor returns src
 // unchanged.
-func (c *SampleCursor) Wrap(src cpu.Source) cpu.Source {
+func (c *SampleCursor) wrap(src cpu.Source) cpu.Source {
 	if c == nil {
 		return src
 	}
@@ -242,21 +224,16 @@ func (s *sampledSource) Next() (cpu.Record, bool) {
 			return rec, true
 		}
 		// Functional gap: skip to the next period boundary, warming
-		// the model's long-lived structures along the way when a warm
-		// hook is registered.
+		// the model's long-lived structures along the way.
 		want := c.plan.Period - off
 		var n uint64
-		if c.warm != nil {
-			for n < want {
-				rec, ok := s.src.Next()
-				if !ok {
-					break
-				}
-				c.warm(rec)
-				n++
+		for n < want {
+			rec, ok := s.src.Next()
+			if !ok {
+				break
 			}
-		} else {
-			n = cpu.Skip(s.src, want)
+			c.k.Warm(rec)
+			n++
 		}
 		c.stream += n
 		c.skipped += n
@@ -284,17 +261,13 @@ func (c *SampleCursor) OnRetire(retired, cycle uint64, col *events.Collector) {
 	switch {
 	case off == c.plan.Warmup-1:
 		// Last warmup instruction retired: open the window.
-		if c.sync != nil {
-			c.sync(col)
-		}
+		c.k.Hier().FoldMemEvents(col)
 		c.snap = *col
 		c.startCycle = cycle
 		c.measuring = true
 	case off == d-1 && c.measuring:
 		// Last measured instruction retired: close and record.
-		if c.sync != nil {
-			c.sync(col)
-		}
+		c.k.Hier().FoldMemEvents(col)
 		delta := col.Since(&c.snap)
 		dc := cycle - c.startCycle
 		stack := delta.Finish(dc)
@@ -315,13 +288,13 @@ func (c *SampleCursor) OnRetire(retired, cycle uint64, col *events.Collector) {
 	}
 }
 
-// Finalize rewrites res to cover the measured windows only and
-// attaches the SampledRun record. The model passes the res it built
-// from its full-run accounting; on a sampled run those totals mix
+// finalize rewrites res to cover the measured windows only and
+// attaches the SampledRun record. The driver passes the res it built
+// from the run's full accounting; on a sampled run those totals mix
 // warmup and measurement, so they are replaced wholesale with the
 // window sums (whose stack still sums exactly to the cycles). A nil
 // cursor leaves res untouched.
-func (c *SampleCursor) Finalize(res *RunResult, model events.Model) {
+func (c *SampleCursor) finalize(res *RunResult, model events.Model) {
 	if c == nil {
 		return
 	}

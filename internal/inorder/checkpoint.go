@@ -1,20 +1,17 @@
 package inorder
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/fingerprint"
 	"repro/internal/predict"
-	"repro/internal/vm"
 )
 
-// Compat fingerprints the warm-relevant configuration: the hierarchy,
+// compat fingerprints the warm-relevant configuration: the hierarchy,
 // the bimodal table geometry, and the mapping policy.
-func (m *Machine) Compat() string {
+func (m *Machine) compat() string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier        cache.HierarchyConfig
 		BimodalBits int
@@ -22,110 +19,34 @@ func (m *Machine) Compat() string {
 	}{m.cfg.Hier, m.cfg.BimodalBits, m.cfg.NewMapper().Name()})))
 }
 
-// warmer returns the functional-warming hook: caches plus the
-// (history-free) bimodal predictor, exactly as Run's skip path warms.
-func warmer(hier *cache.Hierarchy, bimodal []predict.SatCounter) func(cpu.Record) {
-	warmLine := uint64(1) << 63
-	return func(rec cpu.Record) {
-		if line := rec.PC &^ 63; line != warmLine {
-			hier.WarmInst(rec.PC)
-			warmLine = line
-		}
-		cls := rec.Inst.Op.Class()
-		switch {
-		case cls.IsMem():
-			hier.WarmData(rec.EA, cls.IsStore())
-		case rec.IsBranch():
-			train(bimodal, rec.PC, rec.Taken)
-		}
-	}
-}
-
-func newBimodal(bits int) []predict.SatCounter {
-	t := make([]predict.SatCounter, 1<<bits)
-	for i := range t {
-		t[i] = predict.NewSatCounter(2, 1)
-	}
-	return t
-}
-
 // RecordCheckpoints implements core.CheckpointRecorder.
 func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	if len(positions) == 0 {
-		return nil, fmt.Errorf("inorder: no checkpoint positions requested")
-	}
-	for i := 1; i < len(positions); i++ {
-		if positions[i] <= positions[i-1] {
-			return nil, fmt.Errorf("inorder: checkpoint positions not strictly ascending at %d", i)
-		}
-	}
-	if w.NewSource != nil || w.Prog == nil {
-		return nil, fmt.Errorf("inorder: checkpoints require a program workload, not a trace source")
-	}
-	c := cpu.New(w.Prog)
-	cpu.Skip(c, w.FastForward)
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	bimodal := newBimodal(m.cfg.BimodalBits)
-	warm := warmer(hier, bimodal)
-	compat := m.Compat()
-
-	out := make([]*checkpoint.State, 0, len(positions))
-	var consumed uint64
-	for _, pos := range positions {
-		for consumed < pos {
-			rec, ok := c.Next()
-			if !ok {
-				return nil, fmt.Errorf("inorder: %s: stream ended at %d instructions, checkpoint wanted %d",
-					w.Name, consumed, pos)
-			}
-			warm(rec)
-			consumed++
-		}
-		cs, err := c.Export()
-		if err != nil {
-			return nil, fmt.Errorf("inorder: %s: %w", w.Name, err)
-		}
-		hs, err := hier.ExportWarm()
-		if err != nil {
-			return nil, fmt.Errorf("inorder: %s: %w", w.Name, err)
-		}
-		out = append(out, &checkpoint.State{
-			Model:    checkpoint.ModelInorder,
-			Machine:  m.cfg.MachineName,
-			Compat:   compat,
-			Workload: w.Name,
-			Position: pos,
-			CPU:      cs,
-			Pages:    c.Mem.ExportPages(),
-			Hier:     hs,
-			Bimodal:  predict.ExportSat(bimodal),
-		})
-	}
-	return out, nil
+	return core.Record(m.spec(), w, positions)
 }
 
-// restore rebuilds the model's state from a checkpoint: a restored
-// memory image and CPU, a hierarchy and bimodal table imported into
-// fresh structures.
-func (m *Machine) restore(w core.Workload, hier *cache.Hierarchy, bimodal []predict.SatCounter) (cpu.Source, error) {
-	st := w.Checkpoint
-	if err := st.CompatibleWith(checkpoint.ModelInorder, m.Compat()); err != nil {
-		return nil, err
+// Warm implements core.Kernel, the functional-warming path: caches
+// plus the (history-free) bimodal predictor, trained exactly as the
+// timed loop trains it.
+func (k *kernel) Warm(rec cpu.Record) {
+	if line := rec.PC &^ 63; line != k.warmLine {
+		k.hier.WarmInst(rec.PC)
+		k.warmLine = line
 	}
-	if st.Workload != w.Name {
-		return nil, fmt.Errorf("inorder: checkpoint recorded workload %q, restoring %q", st.Workload, w.Name)
+	cls := rec.Inst.Op.Class()
+	switch {
+	case cls.IsMem():
+		k.hier.WarmData(rec.EA, cls.IsStore())
+	case rec.IsBranch():
+		k.bimodal.Train(rec.PC, rec.Taken)
 	}
-	mem := vm.NewMemory()
-	mem.ImportPages(st.Pages)
-	c := cpu.Restore(w.Prog, mem, st.CPU)
-	if err := hier.ImportWarm(st.Hier); err != nil {
-		return nil, fmt.Errorf("inorder: restore: %w", err)
-	}
-	if err := predict.ImportSat(bimodal, st.Bimodal); err != nil {
-		return nil, fmt.Errorf("inorder: restore: %w", err)
-	}
-	if w.MaxInstructions > 0 {
-		return &cpu.Limited{Src: c, Max: w.MaxInstructions}, nil
-	}
-	return c, nil
+}
+
+// ExportWarm implements core.Kernel: the bimodal table is warmed state.
+func (k *kernel) ExportWarm(st *checkpoint.State) {
+	st.Bimodal = predict.ExportSat(k.bimodal)
+}
+
+// ImportWarm implements core.Kernel.
+func (k *kernel) ImportWarm(st *checkpoint.State) error {
+	return predict.ImportSat(k.bimodal, st.Bimodal)
 }

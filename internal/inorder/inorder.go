@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -56,82 +57,63 @@ func DefaultConfig() Config {
 // Machine implements core.Machine.
 type Machine struct {
 	cfg Config
-	// newMem, when set, builds the main-memory backend instead of the
-	// flat SDRAM model from cfg.DRAM (see alpha.Machine for why this
-	// lives outside Config: pinned fingerprints must not change).
-	newMem func() cache.Memory
 }
 
 // New returns a machine for the configuration.
 func New(cfg Config) *Machine { return &Machine{cfg: cfg} }
 
-// NewWithMemory returns a machine whose hierarchy sits on the memory
-// backend the factory builds instead of the flat SDRAM from cfg.DRAM.
-func NewWithMemory(cfg Config, newMem func() cache.Memory) *Machine {
-	m := New(cfg)
-	m.newMem = newMem
-	return m
-}
-
-// memory builds the machine's main-memory backend.
-func (m *Machine) memory() cache.Memory {
-	if m.newMem != nil {
-		return m.newMem()
-	}
-	return dram.New(m.cfg.DRAM)
-}
-
 // Name implements core.Machine.
 func (m *Machine) Name() string { return m.cfg.MachineName }
 
-// Run implements core.Machine. The model is a straightforward
-// accumulation: each instruction costs at least one cycle, plus its
-// execution latency beyond one when a dependent follows immediately
-// (in-order machines expose full latency), plus memory and
-// misprediction stalls.
+// Run implements core.Machine.
 func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	if err := w.CheckRestore(); err != nil {
-		return core.RunResult{}, err
-	}
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	bimodal := newBimodal(m.cfg.BimodalBits)
-	cur := core.NewSampleCursor(w.Sample)
-	var src cpu.Source
-	if w.Checkpoint != nil {
-		restored, err := m.restore(w, hier, bimodal)
-		if err != nil {
-			return core.RunResult{}, err
-		}
-		src = cur.Wrap(restored)
-	} else {
-		src = cur.Wrap(w.Source())
-	}
+	return core.Drive(m.spec(), w)
+}
 
-	var cycle, retired uint64
+// spec describes the machine to the run driver.
+func (m *Machine) spec() core.Spec {
+	return core.Spec{
+		Machine: m.cfg.MachineName,
+		Family:  checkpoint.ModelInorder,
+		Events:  events.ModelInOrder,
+		Compat:  m.compat,
+		New: func() core.Kernel {
+			return &kernel{
+				cfg:      m.cfg,
+				hier:     cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), dram.New(m.cfg.DRAM)),
+				bimodal:  predict.NewBimodal(m.cfg.BimodalBits),
+				warmLine: 1 << 63,
+			}
+		},
+	}
+}
+
+// kernel is the in-order model's per-run state: the warmed hierarchy
+// and bimodal predictor, and the run's event collector.
+type kernel struct {
+	cfg     Config
+	hier    *cache.Hierarchy
+	bimodal predict.Bimodal
+	// warmLine is the last I-cache line Warm touched.
+	warmLine uint64
 	// col accumulates typed event counts and CPI-stack attribution
 	// (the unified instrumentation layer, internal/events). With a
 	// blocking in-order pipe, attribution is direct: every stall the
 	// model adds to the cycle count is charged where it is added.
-	var col events.Collector
-	cur.SetSync(func(c *events.Collector) {
-		hier.FoldMemEvents(c)
-	})
-	// Functional warming: caches and the (history-free) bimodal
-	// predictor stay warm through sampling skips.
-	cur.SetWarm(warmer(hier, bimodal))
-	if w.WarmFastForward > 0 {
-		// Cold half of the checkpoint determinism invariant: consume
-		// the prefix through the warming path, then time the rest.
-		warm := warmer(hier, bimodal)
-		for i := uint64(0); i < w.WarmFastForward; i++ {
-			rec, ok := src.Next()
-			if !ok {
-				return core.RunResult{}, fmt.Errorf("%s/%s: stream ended at %d instructions during warm fast-forward (wanted %d)",
-					m.cfg.MachineName, w.Name, i, w.WarmFastForward)
-			}
-			warm(rec)
-		}
-	}
+	col events.Collector
+}
+
+// Hier implements core.Kernel.
+func (k *kernel) Hier() *cache.Hierarchy { return k.hier }
+
+// Time implements core.Kernel. The model is a straightforward
+// accumulation: each instruction costs at least one cycle, plus its
+// execution latency beyond one when a dependent follows immediately
+// (in-order machines expose full latency), plus memory and
+// misprediction stalls.
+func (k *kernel) Time(src cpu.Source, cur *core.SampleCursor) (uint64, uint64, *events.Collector, error) {
+	hier, bimodal, col := k.hier, k.bimodal, &k.col
+	var cycle, retired uint64
 	// regReadyAt holds the cycle each architectural register's value
 	// becomes available; in-order issue waits for sources.
 	var regReadyAt [2][isa.NumRegs]uint64
@@ -188,16 +170,16 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 			hier.Data(rec.EA, true, cycle)
 			lat = 1
 		case rec.IsBranch():
-			taken := predictTaken(bimodal, rec.PC)
-			train(bimodal, rec.PC, rec.Taken)
+			taken := bimodal.Predict(rec.PC)
+			bimodal.Train(rec.PC, rec.Taken)
 			mispredict := taken != rec.Taken
 			if rec.Inst.Op.Class() == isa.ClassJump {
 				mispredict = true // no BTB: indirect targets always flush
 			}
 			if mispredict {
 				col.Count(events.BrMispredicts, 1)
-				col.Attribute(events.CompBranch, uint64(m.cfg.BranchPenalty))
-				cycle += uint64(m.cfg.BranchPenalty)
+				col.Attribute(events.CompBranch, uint64(k.cfg.BranchPenalty))
+				cycle += uint64(k.cfg.BranchPenalty)
 			}
 			lat = 1
 		}
@@ -211,36 +193,12 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 		}
 		cycle++ // single issue
 		retired++
-		cur.OnRetire(retired, cycle, &col)
+		cur.OnRetire(retired, cycle, col)
 	}
 	if retired == 0 {
-		return core.RunResult{}, fmt.Errorf("inorder: empty instruction stream")
+		return 0, 0, nil, fmt.Errorf("inorder: empty instruction stream")
 	}
-	hier.FoldMemEvents(&col)
-	stack := col.Finish(cycle)
-	res := core.RunResult{
-		Machine:      m.cfg.MachineName,
-		Workload:     w.Name,
-		Instructions: retired,
-		Cycles:       cycle,
-		Counters:     col.Counters(events.ModelInOrder),
-		Breakdown:    &stack,
-	}
-	cur.Finalize(&res, events.ModelInOrder)
-	return res, nil
-}
-
-func predictTaken(t []predict.SatCounter, pc uint64) bool {
-	return t[int(pc>>2)&(len(t)-1)].Taken()
-}
-
-func train(t []predict.SatCounter, pc uint64, taken bool) {
-	i := int(pc>>2) & (len(t) - 1)
-	if taken {
-		t[i].Inc()
-	} else {
-		t[i].Dec()
-	}
+	return cycle, retired, col, nil
 }
 
 func latency(cls isa.Class) int {

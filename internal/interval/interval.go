@@ -149,14 +149,11 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	if w.WarmFastForward > 0 {
 		return core.RunResult{}, fmt.Errorf("%s: analytical backend does not support warm fast-forward", m.cfg.MachineName)
 	}
-	if err := w.CheckRestore(); err != nil {
-		return core.RunResult{}, err
-	}
 	if err := m.cfg.Check(); err != nil {
 		return core.RunResult{}, err
 	}
 	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	bimodal := newBimodal(m.cfg.BimodalBits)
+	bimodal := predict.NewBimodal(m.cfg.BimodalBits)
 	src := w.Source()
 
 	var retired uint64
@@ -254,8 +251,8 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 			hier.Data(rec.EA, true, now)
 			qwDelta()
 		case rec.IsBranch():
-			taken := predictTaken(bimodal, rec.PC)
-			train(bimodal, rec.PC, rec.Taken)
+			taken := bimodal.Predict(rec.PC)
+			bimodal.Train(rec.PC, rec.Taken)
 			mispredict := taken != rec.Taken
 			if rec.Inst.Op.Class() == isa.ClassJump {
 				mispredict = true // no BTB: indirect targets always refill
@@ -290,25 +287,4 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 		Counters:     col.Counters(events.ModelInterval),
 		Breakdown:    &stack,
 	}, nil
-}
-
-func newBimodal(bits int) []predict.SatCounter {
-	t := make([]predict.SatCounter, 1<<bits)
-	for i := range t {
-		t[i] = predict.NewSatCounter(2, 1)
-	}
-	return t
-}
-
-func predictTaken(t []predict.SatCounter, pc uint64) bool {
-	return t[int(pc>>2)&(len(t)-1)].Taken()
-}
-
-func train(t []predict.SatCounter, pc uint64, taken bool) {
-	i := int(pc>>2) & (len(t) - 1)
-	if taken {
-		t[i].Inc()
-	} else {
-		t[i].Dec()
-	}
 }

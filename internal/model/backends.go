@@ -52,16 +52,6 @@ type (
 		Core AlphaConfig
 		DDR  DDRConfig
 	}
-	// RUUDDRConfig is the RUU model on the DDR subsystem.
-	RUUDDRConfig struct {
-		Core RUUConfig
-		DDR  DDRConfig
-	}
-	// InorderDDRConfig is the in-order model on the DDR subsystem.
-	InorderDDRConfig struct {
-		Core InorderConfig
-		DDR  DDRConfig
-	}
 	// IntervalDDRConfig is the analytical estimator on the DDR
 	// subsystem.
 	IntervalDDRConfig struct {
@@ -193,19 +183,6 @@ func Build(cfg any) (core.Machine, error) {
 			return nil, err
 		}
 		return alpha.NewWithMemory(c.Core, newDDR(c.DDR)), nil
-	case RUUDDRConfig:
-		if err := c.Core.Check(); err != nil {
-			return nil, err
-		}
-		if err := c.DDR.Check(); err != nil {
-			return nil, err
-		}
-		return ruu.NewWithMemory(c.Core, newDDR(c.DDR)), nil
-	case InorderDDRConfig:
-		if err := c.DDR.Check(); err != nil {
-			return nil, err
-		}
-		return inorder.NewWithMemory(c.Core, newDDR(c.DDR)), nil
 	case IntervalDDRConfig:
 		if err := c.Core.Check(); err != nil {
 			return nil, err

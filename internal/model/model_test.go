@@ -140,8 +140,6 @@ func TestBuild(t *testing.T) {
 		DefaultIntervalConfig(),
 		SimAlphaDDRConfig(),
 		SimIntervalDDRConfig(),
-		RUUDDRConfig{Core: DefaultRUUConfig(), DDR: DefaultDDRConfig()},
-		InorderDDRConfig{Core: DefaultInorderConfig(), DDR: DefaultDDRConfig()},
 	} {
 		m, err := Build(cfg)
 		if err != nil {

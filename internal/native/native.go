@@ -51,10 +51,6 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	return out, nil
 }
 
-// Compat returns the inner 21264 model's warm-relevant configuration
-// fingerprint: native checkpoints are alpha-family states.
-func (m *Machine) Compat() string { return m.inner.Compat() }
-
 // RecordCheckpoints implements core.CheckpointRecorder by delegating
 // to the inner 21264 model: the profiler is a measurement layer, not
 // simulator state, so native checkpoints are alpha-family states.

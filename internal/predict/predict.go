@@ -49,6 +49,37 @@ func (c *SatCounter) Taken() bool { return c.value > c.max/2 }
 // Value returns the current count.
 func (c *SatCounter) Value() uint32 { return c.value }
 
+// Bimodal is a PC-indexed table of 2-bit saturating counters: the
+// history-free direction predictor of the in-order and interval
+// models. With no history to desynchronize, functional warming
+// trains it exactly as a timed run does.
+type Bimodal []SatCounter
+
+// NewBimodal returns a 1<<bits-entry table, every counter weakly
+// not-taken.
+func NewBimodal(bits int) Bimodal {
+	t := make(Bimodal, 1<<bits)
+	for i := range t {
+		t[i] = NewSatCounter(2, 1)
+	}
+	return t
+}
+
+// Predict returns the predicted direction of the branch at pc.
+func (t Bimodal) Predict(pc uint64) bool {
+	return t[int(pc>>2)&(len(t)-1)].Taken()
+}
+
+// Train moves the branch's counter toward its resolved direction.
+func (t Bimodal) Train(pc uint64, taken bool) {
+	i := int(pc>>2) & (len(t) - 1)
+	if taken {
+		t[i].Inc()
+	} else {
+		t[i].Dec()
+	}
+}
+
 // TournamentConfig sizes the 21264 tournament predictor. The zero
 // value is not useful; use DefaultTournamentConfig.
 type TournamentConfig struct {

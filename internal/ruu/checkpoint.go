@@ -1,119 +1,49 @@
 package ruu
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/fingerprint"
-	"repro/internal/vm"
 )
 
-// Compat fingerprints the warm-relevant configuration. The RUU model
+// compat fingerprints the warm-relevant configuration. The RUU model
 // warms caches only (the gshare predictor's index couples to the
 // speculative global history, so it is left to warmup windows), so
 // the fingerprint covers the hierarchy and the mapping policy.
-func (m *Machine) Compat() string {
+func (m *Machine) compat() string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier   cache.HierarchyConfig
 		Mapper string
 	}{m.cfg.Hier, m.cfg.NewMapper().Name()})))
 }
 
-// warmer returns the functional-warming hook: caches only, per-line
-// on the I-side, exactly as Run's sampling-skip path warms.
-func warmer(hier *cache.Hierarchy) func(cpu.Record) {
-	warmLine := uint64(1) << 63
-	return func(rec cpu.Record) {
-		if line := rec.PC &^ 63; line != warmLine {
-			hier.WarmInst(rec.PC)
-			warmLine = line
-		}
-		cls := rec.Inst.Op.Class()
-		if cls.IsMem() {
-			hier.WarmData(rec.EA, cls.IsStore())
-		}
-	}
-}
-
 // RecordCheckpoints implements core.CheckpointRecorder: a functional
-// pass that warms the hierarchy exactly as Run's skip path does, with
-// a snapshot at each requested stream position.
+// pass that warms the hierarchy exactly as a timed run's skip path
+// does, with a snapshot at each requested stream position.
 func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	if len(positions) == 0 {
-		return nil, fmt.Errorf("ruu: no checkpoint positions requested")
-	}
-	for i := 1; i < len(positions); i++ {
-		if positions[i] <= positions[i-1] {
-			return nil, fmt.Errorf("ruu: checkpoint positions not strictly ascending at %d", i)
-		}
-	}
-	if w.NewSource != nil || w.Prog == nil {
-		return nil, fmt.Errorf("ruu: checkpoints require a program workload, not a trace source")
-	}
-	c := cpu.New(w.Prog)
-	cpu.Skip(c, w.FastForward)
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	warm := warmer(hier)
-	compat := m.Compat()
-
-	out := make([]*checkpoint.State, 0, len(positions))
-	var consumed uint64
-	for _, pos := range positions {
-		for consumed < pos {
-			rec, ok := c.Next()
-			if !ok {
-				return nil, fmt.Errorf("ruu: %s: stream ended at %d instructions, checkpoint wanted %d",
-					w.Name, consumed, pos)
-			}
-			warm(rec)
-			consumed++
-		}
-		cs, err := c.Export()
-		if err != nil {
-			return nil, fmt.Errorf("ruu: %s: %w", w.Name, err)
-		}
-		hs, err := hier.ExportWarm()
-		if err != nil {
-			return nil, fmt.Errorf("ruu: %s: %w", w.Name, err)
-		}
-		out = append(out, &checkpoint.State{
-			Model:    checkpoint.ModelRUU,
-			Machine:  m.cfg.MachineName,
-			Compat:   compat,
-			Workload: w.Name,
-			Position: pos,
-			CPU:      cs,
-			Pages:    c.Mem.ExportPages(),
-			Hier:     hs,
-		})
-	}
-	return out, nil
+	return core.Record(m.spec(), w, positions)
 }
 
-// restoreSim builds a sim resuming from a checkpoint.
-func (m *Machine) restoreSim(w core.Workload) (*sim, error) {
-	st := w.Checkpoint
-	if err := st.CompatibleWith(checkpoint.ModelRUU, m.Compat()); err != nil {
-		return nil, err
+// Warm implements core.Kernel, the functional-warming path: caches
+// only, per-line on the I-side, as fetch accesses them. The gshare
+// predictor is left to the warmup window — its index couples to the
+// speculative global history, which a non-pipelined update would
+// desynchronize.
+func (s *sim) Warm(rec cpu.Record) {
+	if line := rec.PC &^ 63; line != s.warmLine {
+		s.hier.WarmInst(rec.PC)
+		s.warmLine = line
 	}
-	if st.Workload != w.Name {
-		return nil, fmt.Errorf("ruu: checkpoint recorded workload %q, restoring %q", st.Workload, w.Name)
+	cls := rec.Inst.Op.Class()
+	if cls.IsMem() {
+		s.hier.WarmData(rec.EA, cls.IsStore())
 	}
-	mem := vm.NewMemory()
-	mem.ImportPages(st.Pages)
-	c := cpu.Restore(w.Prog, mem, st.CPU)
-	var src cpu.Source = c
-	if w.MaxInstructions > 0 {
-		src = &cpu.Limited{Src: c, Max: w.MaxInstructions}
-	}
-	cur := core.NewSampleCursor(w.Sample)
-	s := newSim(m.cfg, m.memory(), cur.Wrap(src))
-	s.cur = cur
-	if err := s.hier.ImportWarm(st.Hier); err != nil {
-		return nil, fmt.Errorf("ruu: restore: %w", err)
-	}
-	return s, nil
 }
+
+// ExportWarm implements core.Kernel: no predictor is warmed.
+func (s *sim) ExportWarm(*checkpoint.State) {}
+
+// ImportWarm implements core.Kernel.
+func (s *sim) ImportWarm(*checkpoint.State) error { return nil }

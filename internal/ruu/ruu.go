@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -137,10 +138,6 @@ func flatDRAM() dram.Config {
 // Machine is an RUU-based timing model implementing core.Machine.
 type Machine struct {
 	cfg Config
-	// newMem, when set, builds the main-memory backend instead of the
-	// flat SDRAM model from cfg.DRAM (see alpha.Machine for why this
-	// lives outside Config: pinned fingerprints must not change).
-	newMem func() cache.Memory
 }
 
 // Check verifies the configuration is runnable.
@@ -171,22 +168,6 @@ func New(cfg Config) *Machine {
 	return &Machine{cfg: cfg}
 }
 
-// NewWithMemory returns a machine whose hierarchy sits on the memory
-// backend the factory builds instead of the flat SDRAM from cfg.DRAM.
-func NewWithMemory(cfg Config, newMem func() cache.Memory) *Machine {
-	m := New(cfg)
-	m.newMem = newMem
-	return m
-}
-
-// memory builds the machine's main-memory backend.
-func (m *Machine) memory() cache.Memory {
-	if m.newMem != nil {
-		return m.newMem()
-	}
-	return dram.New(m.cfg.DRAM)
-}
-
 // Name implements core.Machine.
 func (m *Machine) Name() string { return m.cfg.MachineName }
 
@@ -195,57 +176,19 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Run implements core.Machine.
 func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	if err := w.CheckRestore(); err != nil {
-		return core.RunResult{}, err
+	return core.Drive(m.spec(), w)
+}
+
+// spec describes the machine to the run driver; its kernel is a
+// fresh pipeline (*sim).
+func (m *Machine) spec() core.Spec {
+	return core.Spec{
+		Machine: m.cfg.MachineName,
+		Family:  checkpoint.ModelRUU,
+		Events:  events.ModelRUU,
+		Compat:  m.compat,
+		New:     func() core.Kernel { return newSim(m.cfg) },
 	}
-	var s *sim
-	if w.Checkpoint != nil {
-		var err error
-		if s, err = m.restoreSim(w); err != nil {
-			return core.RunResult{}, err
-		}
-	} else {
-		cur := core.NewSampleCursor(w.Sample)
-		s = newSim(m.cfg, m.memory(), cur.Wrap(w.Source()))
-		s.cur = cur
-	}
-	cur := s.cur
-	cur.SetSync(func(c *events.Collector) {
-		s.hier.FoldMemEvents(c)
-	})
-	// Functional warming: keep the caches warm through sampling skips
-	// (per-line on the I-side, as fetch does). The gshare predictor is
-	// left to the warmup window — its index couples to the speculative
-	// global history, which a non-pipelined update would desynchronize.
-	cur.SetWarm(warmer(s.hier))
-	if w.WarmFastForward > 0 {
-		// Cold half of the checkpoint determinism invariant: consume
-		// the prefix through the warming path, then time the rest.
-		warm := warmer(s.hier)
-		for i := uint64(0); i < w.WarmFastForward; i++ {
-			rec, ok := s.src.Next()
-			if !ok {
-				return core.RunResult{}, fmt.Errorf("%s/%s: stream ended at %d instructions during warm fast-forward (wanted %d)",
-					m.cfg.MachineName, w.Name, i, w.WarmFastForward)
-			}
-			warm(rec)
-		}
-	}
-	if err := s.run(); err != nil {
-		return core.RunResult{}, fmt.Errorf("%s/%s: %w", m.cfg.MachineName, w.Name, err)
-	}
-	s.hier.FoldMemEvents(&s.col)
-	stack := s.col.Finish(s.cycle)
-	res := core.RunResult{
-		Machine:      m.cfg.MachineName,
-		Workload:     w.Name,
-		Instructions: s.retired,
-		Cycles:       s.cycle,
-		Counters:     s.col.Counters(events.ModelRUU),
-		Breakdown:    &stack,
-	}
-	cur.Finalize(&res, events.ModelRUU)
-	return res, nil
 }
 
 type entry struct {
@@ -387,13 +330,14 @@ type sim struct {
 	// cur drives interval sampling when the workload requests it
 	// (nil — and every call on it a no-op — for full runs).
 	cur *core.SampleCursor
+	// warmLine is the last I-cache line Warm touched.
+	warmLine uint64
 }
 
-func newSim(cfg Config, mem cache.Memory, src cpu.Source) *sim {
+func newSim(cfg Config) *sim {
 	s := &sim{
 		cfg:       cfg,
-		src:       src,
-		hier:      cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem),
+		hier:      cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), dram.New(cfg.DRAM)),
 		gshare:    make([]predict.SatCounter, 1<<cfg.GShareBits),
 		btb:       newBTB(cfg.BTBSets, cfg.BTBAssoc),
 		ras:       predict.NewRAS(cfg.RASEntries),
@@ -404,6 +348,7 @@ func newSim(cfg Config, mem cache.Memory, src cpu.Source) *sim {
 		mapInum:   1,
 		issueBase: 1,
 		wakeAt:    noWake,
+		warmLine:  1 << 63,
 	}
 	for i := range s.gshare {
 		s.gshare[i] = predict.NewSatCounter(2, 1)
@@ -458,6 +403,17 @@ func (s *sim) schedule(t uint64) {
 
 func (s *sim) at(inum uint64) *entry {
 	return &s.rob[s.idx(int(inum-s.headInum))]
+}
+
+// Hier implements core.Kernel.
+func (s *sim) Hier() *cache.Hierarchy { return s.hier }
+
+// Time implements core.Kernel: the pipeline times src until the
+// stream drains and the RUU empties.
+func (s *sim) Time(src cpu.Source, cur *core.SampleCursor) (uint64, uint64, *events.Collector, error) {
+	s.src, s.cur = src, cur
+	err := s.run()
+	return s.cycle, s.retired, &s.col, err
 }
 
 func (s *sim) run() error {
