@@ -9,10 +9,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/diskstore"
 )
 
@@ -21,28 +20,16 @@ import (
 // shared default for local use.
 const defaultStoreDir = "simstore"
 
-// localMachines maps the service's machine names to local
-// constructors (the reference machine is absent: it is measured, not
-// checkpointed — its DCPI emulation has no warm state to serialize).
-var localMachines = map[string]func() repro.Machine{
-	"sim-alpha":    repro.SimAlpha,
-	"sim-initial":  repro.SimInitial,
-	"sim-stripped": repro.SimStripped,
-	"sim-outorder": repro.SimOutorder,
-	"sim-inorder":  repro.SimInorder,
-}
-
+// localMachine builds a registered machine that records checkpoints.
 func localMachine(name string) (repro.Machine, error) {
-	mk, ok := localMachines[name]
-	if !ok {
-		names := make([]string, 0, len(localMachines))
-		for n := range localMachines {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("unknown machine %q (checkpointable: %s)", name, strings.Join(names, ", "))
+	m, err := repro.NewMachine(name)
+	if err != nil {
+		return nil, err
 	}
-	return mk(), nil
+	if _, ok := m.(core.CheckpointRecorder); !ok {
+		return nil, fmt.Errorf("machine %q does not record checkpoints", m.Name())
+	}
+	return m, nil
 }
 
 func cmdCheckpoint(args []string) error {
@@ -85,9 +72,7 @@ func cmdCheckpointSave(args []string) error {
 		if !ok {
 			return fmt.Errorf("unknown workload %q", name)
 		}
-		if *limit > 0 && (w.MaxInstructions == 0 || w.MaxInstructions > *limit) {
-			w.MaxInstructions = *limit
-		}
+		w = w.Capped(*limit)
 		if w.MaxInstructions == 0 {
 			return fmt.Errorf("workload %q has no instruction bound; pass -limit", name)
 		}

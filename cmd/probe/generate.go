@@ -5,42 +5,17 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"strconv"
 	"strings"
 
+	"repro/internal/service"
 	"repro/internal/workgen"
 )
 
-// post submits a JSON body and returns the response body, requiring
-// the given status.
-func (c *client) post(path string, want int, body []byte) ([]byte, error) {
-	resp, err := c.http.Post(c.base+path, "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != want {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(out, &e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(out)))
-	}
-	return out, nil
-}
-
-func cmdGenerate(c *client, args []string) error {
+func cmdGenerate(ctx context.Context, c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("workloads generate", flag.ExitOnError)
 	spec := workgen.DefaultSpec()
 	fs.Uint64Var(&spec.Seed, "seed", spec.Seed, "generation seed")
@@ -63,12 +38,12 @@ func cmdGenerate(c *client, args []string) error {
 		return fmt.Errorf("workloads generate: unexpected arguments %v", fs.Args())
 	}
 
-	var req map[string]any
+	var req service.GenerateRequest
 	switch {
 	case *family == "" && (*axis != "" || *levels != ""):
 		return fmt.Errorf("workloads generate: -axis and -levels require -family")
 	case *family == "":
-		req = map[string]any{"spec": spec}
+		req.Spec = &spec
 	default:
 		var lv []int
 		for _, s := range strings.Split(*levels, ",") {
@@ -78,33 +53,14 @@ func cmdGenerate(c *client, args []string) error {
 			}
 			lv = append(lv, n)
 		}
-		req = map[string]any{"family": workgen.Family{
-			Name: *family, Base: spec, Axis: *axis, Levels: lv,
-		}}
+		req.Family = &workgen.Family{Name: *family, Base: spec, Axis: *axis, Levels: lv}
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	out, err := c.post("/v1/workloads/generate", http.StatusCreated, body)
+	resp, err := c.Generate(ctx, req)
 	if err != nil {
 		return err
 	}
 	if *asJSON {
-		fmt.Println(strings.TrimSpace(string(out)))
-		return nil
-	}
-	var resp struct {
-		Workloads []struct {
-			Name   string `json:"name"`
-			Family string `json:"family"`
-			Axis   string `json:"axis"`
-			Level  int    `json:"level"`
-			Minted bool   `json:"minted"`
-		} `json:"workloads"`
-	}
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return err
+		return printJSON(resp)
 	}
 	for _, w := range resp.Workloads {
 		status := "minted"

@@ -56,17 +56,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/url"
 	"os"
-	"strings"
-	"time"
 
 	"repro/internal/events"
+	"repro/internal/service"
 )
 
 func usage() {
@@ -97,62 +94,6 @@ commands:
 	os.Exit(2)
 }
 
-// client wraps the service endpoint.
-type client struct {
-	base string
-	http *http.Client
-}
-
-// get fetches a path and returns body plus the cache-status header.
-func (c *client) get(path string) ([]byte, string, error) {
-	resp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return nil, "", fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return nil, "", fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	return body, resp.Header.Get("X-Simcache"), nil
-}
-
-// runResponse mirrors service.RunResponse.
-type runResponse struct {
-	Machine      string        `json:"machine"`
-	Workload     string        `json:"workload"`
-	Instructions uint64        `json:"instructions"`
-	Cycles       uint64        `json:"cycles"`
-	IPC          float64       `json:"ipc"`
-	CPI          float64       `json:"cpi"`
-	Breakdown    *events.Stack `json:"breakdown"`
-	Sampled      *struct {
-		Plan struct {
-			Period  uint64 `json:"period"`
-			Warmup  uint64 `json:"warmup"`
-			Measure uint64 `json:"measure"`
-		} `json:"plan"`
-		Intervals int `json:"intervals"`
-		CPI       struct {
-			Mean  float64 `json:"mean"`
-			Half  float64 `json:"half"`
-			Level float64 `json:"level"`
-		} `json:"cpi"`
-		DetailedInstructions uint64  `json:"detailed_instructions"`
-		StreamInstructions   uint64  `json:"stream_instructions"`
-		Speedup              float64 `json:"speedup"`
-	} `json:"sampled"`
-}
-
 func main() {
 	addr := flag.String("addr", ":8080", "simd address (host:port or URL)")
 	flag.Usage = usage
@@ -161,34 +102,26 @@ func main() {
 		usage()
 	}
 
-	base := *addr
-	if !strings.Contains(base, "://") {
-		if strings.HasPrefix(base, ":") {
-			base = "localhost" + base
-		}
-		base = "http://" + base
-	}
-	c := &client{base: base, http: &http.Client{Timeout: 5 * time.Minute}}
-
+	ctx, c := context.Background(), service.NewClient(*addr)
 	cmd, args := flag.Arg(0), flag.Args()[1:]
 	var err error
 	switch cmd {
 	case "run":
-		err = cmdRun(c, args)
+		err = cmdRun(ctx, c, args)
 	case "experiment":
-		err = cmdExperiment(c, args)
+		err = cmdExperiment(ctx, c, args)
 	case "checkpoint":
 		err = cmdCheckpoint(args)
 	case "sweep":
-		err = cmdSweep(c, args)
+		err = cmdSweep(ctx, c, args)
 	case "machines":
-		err = cmdMachines(c, args)
+		err = cmdMachines(ctx, c, args)
 	case "workloads":
-		err = cmdWorkloads(c, args)
+		err = cmdWorkloads(ctx, c, args)
 	case "health":
-		err = cmdHealth(c)
+		err = cmdGet(ctx, c, "/healthz")
 	case "metrics":
-		err = cmdMetrics(c)
+		err = cmdGet(ctx, c, "/metrics")
 	default:
 		fmt.Fprintf(os.Stderr, "probe: unknown command %q\n", cmd)
 		usage()
@@ -199,24 +132,25 @@ func main() {
 	}
 }
 
-func cmdRun(c *client, args []string) error {
+func cmdRun(ctx context.Context, c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	machine := fs.String("m", "sim-alpha", "machine model")
-	limit := fs.Uint64("limit", 0, "dynamic instruction cap (0 = workload length)")
+	var req service.RunRequest
+	fs.StringVar(&req.Machine, "m", "sim-alpha", "machine model")
+	fs.Uint64Var(&req.Limit, "limit", 0, "dynamic instruction cap (0 = workload length)")
 	asJSON := fs.Bool("json", false, "print the raw JSON response, one object per line")
 	breakdown := fs.Bool("breakdown", false, "print each run's CPI stack under its row")
-	sampled := fs.Bool("sample", false, "run under interval sampling (default schedule)")
-	samplePeriod := fs.Uint64("sample-period", 0, "sampling period in instructions")
-	sampleWarmup := fs.Uint64("sample-warmup", 0, "detailed warmup instructions per interval")
-	sampleMeasure := fs.Uint64("sample-measure", 0, "measured instructions per interval")
-	sampleIntervals := fs.Int("sample-intervals", 0, "stop after N measured intervals")
+	fs.BoolVar(&req.Sample, "sample", false, "run under interval sampling (default schedule)")
+	fs.Uint64Var(&req.SamplePeriod, "sample-period", 0, "sampling period in instructions")
+	fs.Uint64Var(&req.SampleWarmup, "sample-warmup", 0, "detailed warmup instructions per interval")
+	fs.Uint64Var(&req.SampleMeasure, "sample-measure", 0, "measured instructions per interval")
+	fs.IntVar(&req.SampleIntervals, "sample-intervals", 0, "stop after N measured intervals")
 	ckptDir := fs.String("checkpoint", "", "run locally against a checkpoint-library store directory")
 	fs.Parse(args)
 	if fs.NArg() < 1 {
 		return fmt.Errorf("run: at least one workload is required")
 	}
 	if *ckptDir != "" {
-		return runCheckpointSampled(*machine, *ckptDir, *limit, *asJSON, fs.Args())
+		return runCheckpointSampled(req.Machine, *ckptDir, req.Limit, *asJSON, fs.Args())
 	}
 
 	if !*asJSON {
@@ -224,36 +158,18 @@ func cmdRun(c *client, args []string) error {
 			"machine", "workload", "insts", "cycles", "ipc", "cpi", "cache")
 	}
 	for _, w := range fs.Args() {
-		q := url.Values{"machine": {*machine}, "workload": {w}}
-		if *limit > 0 {
-			q.Set("limit", fmt.Sprint(*limit))
-		}
-		if *sampled {
-			q.Set("sample", "1")
-		}
-		for name, v := range map[string]uint64{
-			"sample_period":    *samplePeriod,
-			"sample_warmup":    *sampleWarmup,
-			"sample_measure":   *sampleMeasure,
-			"sample_intervals": uint64(*sampleIntervals),
-		} {
-			if v > 0 {
-				q.Set(name, fmt.Sprint(v))
-			}
-		}
-		body, status, err := c.get("/v1/run?" + q.Encode())
+		req.Workload = w
+		r, status, err := c.Run(ctx, req)
 		if err != nil {
 			return fmt.Errorf("run %s: %w", w, err)
 		}
 		if *asJSON {
-			// The service body is already one JSON object; pass it
-			// through untouched so scripts see exactly the cached bytes.
-			fmt.Println(strings.TrimSpace(string(body)))
+			// Re-encoding the typed response reproduces the service's
+			// body byte for byte (pinned by the service client tests).
+			if err := printJSON(r); err != nil {
+				return err
+			}
 			continue
-		}
-		var r runResponse
-		if err := json.Unmarshal(body, &r); err != nil {
-			return fmt.Errorf("run %s: decoding response: %w", w, err)
 		}
 		fmt.Printf("%-14s %-10s %12d %12d %7.3f %7.3f  %s\n",
 			r.Machine, r.Workload, r.Instructions, r.Cycles, r.IPC, r.CPI, status)
@@ -270,9 +186,19 @@ func cmdRun(c *client, args []string) error {
 	return nil
 }
 
+// printJSON prints v as one line of JSON.
+func printJSON(v any) error {
+	out, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(out))
+	return nil
+}
+
 // printBreakdown renders one run's CPI stack as an indented line of
 // per-component CPI contributions, in canonical component order.
-func printBreakdown(r runResponse) {
+func printBreakdown(r service.RunResponse) {
 	fmt.Printf("  %-12s", "breakdown")
 	for c := events.Component(0); c < events.NumComponents; c++ {
 		cpi := 0.0
@@ -284,7 +210,7 @@ func printBreakdown(r runResponse) {
 	fmt.Println()
 }
 
-func cmdExperiment(c *client, args []string) error {
+func cmdExperiment(ctx context.Context, c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "print JSON objects {name, output} instead of tables")
 	fs.Parse(args)
@@ -292,52 +218,32 @@ func cmdExperiment(c *client, args []string) error {
 		return fmt.Errorf("experiment: at least one name is required (try: probe experiment table2)")
 	}
 	for _, name := range fs.Args() {
-		body, _, err := c.get("/v1/experiment/" + url.PathEscape(name))
+		out, err := c.Experiment(ctx, name)
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", name, err)
 		}
 		if *asJSON {
-			out, err := json.Marshal(struct {
-				Name   string `json:"name"`
-				Output string `json:"output"`
-			}{name, string(body)})
-			if err != nil {
+			if err := printJSON(map[string]string{"name": name, "output": out}); err != nil {
 				return err
 			}
-			fmt.Println(string(out))
 			continue
 		}
 		// Same rendering as cmd/validate: the table, then a blank line.
-		fmt.Println(string(body))
+		fmt.Println(out)
 	}
 	return nil
 }
 
-func cmdMachines(c *client, args []string) error {
+func cmdMachines(ctx context.Context, c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("machines", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "print the raw JSON catalogue")
 	fs.Parse(args)
-	body, _, err := c.get("/v1/machines")
+	machines, err := c.Machines(ctx)
 	if err != nil {
 		return err
 	}
 	if *asJSON {
-		fmt.Println(strings.TrimSpace(string(body)))
-		return nil
-	}
-	var machines []struct {
-		Name         string `json:"name"`
-		Description  string `json:"description"`
-		Fingerprint  string `json:"fingerprint"`
-		Tier         string `json:"tier"`
-		Capabilities struct {
-			Checkpointable bool `json:"checkpointable"`
-			Samplable      bool `json:"samplable"`
-			CPIStack       bool `json:"cpi_stack"`
-		} `json:"capabilities"`
-	}
-	if err := json.Unmarshal(body, &machines); err != nil {
-		return err
+		return printJSON(machines)
 	}
 	for _, m := range machines {
 		// Compact capability letters: C heckpointable, S amplable,
@@ -358,31 +264,19 @@ func cmdMachines(c *client, args []string) error {
 	return nil
 }
 
-func cmdWorkloads(c *client, args []string) error {
+func cmdWorkloads(ctx context.Context, c *service.Client, args []string) error {
 	if len(args) > 0 && args[0] == "generate" {
-		return cmdGenerate(c, args[1:])
+		return cmdGenerate(ctx, c, args[1:])
 	}
 	fs := flag.NewFlagSet("workloads", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "print the raw JSON catalogue")
 	fs.Parse(args)
-	body, _, err := c.get("/v1/workloads")
+	workloads, err := c.Workloads(ctx)
 	if err != nil {
 		return err
 	}
 	if *asJSON {
-		fmt.Println(strings.TrimSpace(string(body)))
-		return nil
-	}
-	var workloads []struct {
-		Name     string `json:"name"`
-		Category string `json:"category"`
-		Suite    string `json:"suite"`
-		Family   string `json:"family"`
-		Axis     string `json:"axis"`
-		Level    int    `json:"level"`
-	}
-	if err := json.Unmarshal(body, &workloads); err != nil {
-		return err
+		return printJSON(workloads)
 	}
 	for _, w := range workloads {
 		fmt.Printf("%-40s %-12s %-10s", w.Name, w.Suite, w.Category)
@@ -394,20 +288,12 @@ func cmdWorkloads(c *client, args []string) error {
 	return nil
 }
 
-func cmdHealth(c *client) error {
-	body, _, err := c.get("/healthz")
+// cmdGet prints a text route verbatim.
+func cmdGet(ctx context.Context, c *service.Client, path string) error {
+	body, err := c.Get(ctx, path)
 	if err != nil {
 		return err
 	}
-	fmt.Print(string(body))
-	return nil
-}
-
-func cmdMetrics(c *client) error {
-	body, _, err := c.get("/metrics")
-	if err != nil {
-		return err
-	}
-	fmt.Print(string(body))
+	fmt.Print(body)
 	return nil
 }

@@ -1,163 +1,75 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"strconv"
 	"strings"
-	"time"
+
+	"repro/internal/service"
 )
 
-// sweepJobInfo mirrors the service's job rendering; the result is
-// kept as raw JSON so -json passes the body through untouched.
-type sweepJobInfo struct {
-	ID        string          `json:"id"`
-	Status    string          `json:"status"`
-	Machine   string          `json:"machine"`
-	Analysis  string          `json:"analysis"`
-	Strategy  string          `json:"strategy"`
-	Points    int             `json:"points"`
-	Cells     int             `json:"cells"`
-	CacheHits int             `json:"cache_hits"`
-	Error     string          `json:"error"`
-	Result    json.RawMessage `json:"result"`
-}
-
-// sweepResult is the subset of the job result the text renderer uses.
-type sweepResult struct {
-	Points []struct {
-		Label string `json:"label"`
-		Cells []struct {
-			Workload string  `json:"workload"`
-			IPC      float64 `json:"ipc"`
-			CPI      float64 `json:"cpi"`
-		} `json:"cells"`
-	} `json:"points"`
-	Sensitivity *struct {
-		BaselineLabel string  `json:"baseline_label"`
-		HasRef        bool    `json:"has_ref"`
-		BaselineErr   float64 `json:"baseline_err"`
-		Axes          []struct {
-			Axis            string  `json:"axis"`
-			Baseline        string  `json:"baseline"`
-			MeanAbsPctDelta float64 `json:"mean_abs_pct_delta"`
-			MaxAbsPctDelta  float64 `json:"max_abs_pct_delta"`
-			BestValue       string  `json:"best_value"`
-			BestErr         float64 `json:"best_err"`
-		} `json:"axes"`
-	} `json:"sensitivity"`
-	Trace string `json:"trace"`
-	Stats struct {
-		Points    int `json:"points"`
-		Cells     int `json:"cells"`
-		CacheHits int `json:"cache_hits"`
-	} `json:"stats"`
-}
-
-func cmdSweep(c *client, args []string) error {
+func cmdSweep(ctx context.Context, c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	machine := fs.String("m", "", "machine whose config is swept (server default: sim-alpha)")
-	analysis := fs.String("analysis", "", "analysis: sensitivity, calibration, or empty for raw points")
-	strategy := fs.String("strategy", "", "enumeration: grid (default), random, or ofat")
-	seed := fs.Int64("seed", 0, "seed for -strategy random")
-	samples := fs.Int("samples", 0, "sample count for -strategy random")
-	limit := fs.Uint64("limit", 0, "dynamic instruction cap per cell (0 = workload length)")
+	var req service.SweepRequest
+	fs.StringVar(&req.Machine, "m", "", "machine whose config is swept (server default: sim-alpha)")
+	fs.StringVar(&req.Analysis, "analysis", "", "analysis: sensitivity, calibration, or empty for raw points")
+	fs.StringVar(&req.Strategy, "strategy", "", "enumeration: grid (default), random, or ofat")
+	fs.Int64Var(&req.Seed, "seed", 0, "seed for -strategy random")
+	fs.IntVar(&req.Samples, "samples", 0, "sample count for -strategy random")
+	fs.Uint64Var(&req.Limit, "limit", 0, "dynamic instruction cap per cell (0 = workload length)")
 	workloads := fs.String("workloads", "", "comma-separated workload names (empty = microbenchmark suite)")
-	reference := fs.String("reference", "", "reference machine for analyses (server default: native-ds10l)")
-	rounds := fs.Int("rounds", 0, "calibration round bound (0 = server default)")
+	fs.StringVar(&req.Reference, "reference", "", "reference machine for analyses (server default: native-ds10l)")
+	fs.IntVar(&req.MaxRounds, "rounds", 0, "calibration round bound (0 = server default)")
 	wait := fs.Bool("wait", true, "poll the job to completion (false: print the submit response and exit)")
 	asJSON := fs.Bool("json", false, "print the job's raw JSON instead of text")
 	fs.Parse(args)
 
-	req := map[string]any{}
-	if *machine != "" {
-		req["machine"] = *machine
-	}
-	if *analysis != "" {
-		req["analysis"] = *analysis
-	}
-	if *strategy != "" {
-		req["strategy"] = *strategy
-	}
-	if *seed != 0 {
-		req["seed"] = *seed
-	}
-	if *samples != 0 {
-		req["samples"] = *samples
-	}
-	if *limit != 0 {
-		req["limit"] = *limit
-	}
 	if *workloads != "" {
-		req["workloads"] = strings.Split(*workloads, ",")
+		req.Workloads = strings.Split(*workloads, ",")
 	}
-	if *reference != "" {
-		req["reference"] = *reference
-	}
-	if *rounds != 0 {
-		req["max_rounds"] = *rounds
-	}
-	var axes []map[string]any
 	for _, arg := range fs.Args() {
 		a, err := parseAxis(arg)
 		if err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
-		axes = append(axes, a)
-	}
-	if len(axes) > 0 {
-		req["axes"] = axes
+		req.Axes = append(req.Axes, a)
 	}
 
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	submitted, err := c.postSweep(body)
+	job, err := c.SubmitSweep(ctx, req)
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
-	var job sweepJobInfo
-	if err := json.Unmarshal(submitted, &job); err != nil {
-		return fmt.Errorf("sweep: decoding submit response: %w", err)
-	}
 	if !*wait {
 		if *asJSON {
-			fmt.Println(strings.TrimSpace(string(submitted)))
-		} else {
-			fmt.Printf("submitted %s (%d points); poll with GET /v1/sweep/%s\n",
-				job.ID, job.Points, job.ID)
+			return printJSON(job)
 		}
+		fmt.Printf("submitted %s (%d points); poll with GET /v1/sweep/%s\n",
+			job.ID, job.Points, job.ID)
 		return nil
 	}
 
-	final, err := c.pollSweep(job.ID)
+	final, err := c.WaitSweep(ctx, job.ID)
 	if err != nil {
 		return fmt.Errorf("sweep %s: %w", job.ID, err)
 	}
 	if *asJSON {
-		fmt.Println(strings.TrimSpace(string(final)))
-		return nil
+		return printJSON(final)
 	}
-	if err := json.Unmarshal(final, &job); err != nil {
-		return fmt.Errorf("sweep %s: decoding job: %w", job.ID, err)
-	}
-	return printSweepJob(job)
+	return printSweepJob(final)
 }
 
 // parseAxis decodes "name=Field:v1,v2,..." into a request axis.
 // Values parse as bool, then integer, then float.
-func parseAxis(s string) (map[string]any, error) {
+func parseAxis(s string) (service.SweepAxis, error) {
 	name, rest, ok := strings.Cut(s, "=")
 	if !ok || name == "" {
-		return nil, fmt.Errorf("axis %q: want name=Field:v1,v2,...", s)
+		return service.SweepAxis{}, fmt.Errorf("axis %q: want name=Field:v1,v2,...", s)
 	}
 	field, list, ok := strings.Cut(rest, ":")
 	if !ok || field == "" || list == "" {
-		return nil, fmt.Errorf("axis %q: want name=Field:v1,v2,...", s)
+		return service.SweepAxis{}, fmt.Errorf("axis %q: want name=Field:v1,v2,...", s)
 	}
 	var vals []any
 	for _, v := range strings.Split(list, ",") {
@@ -170,71 +82,20 @@ func parseAxis(s string) (map[string]any, error) {
 			} else if f, err := strconv.ParseFloat(v, 64); err == nil {
 				vals = append(vals, f)
 			} else {
-				return nil, fmt.Errorf("axis %q: value %q is not a bool or number", s, v)
+				return service.SweepAxis{}, fmt.Errorf("axis %q: value %q is not a bool or number", s, v)
 			}
 		}
 	}
-	return map[string]any{"name": name, "field": field, "values": vals}, nil
-}
-
-// postSweep submits the job and returns the 202 body.
-func (c *client) postSweep(body []byte) ([]byte, error) {
-	resp, err := c.http.Post(c.base+"/v1/sweep", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(out, &e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(out)))
-	}
-	return out, nil
-}
-
-// pollSweep polls the job until it reaches a terminal state and
-// returns the final body.
-func (c *client) pollSweep(id string) ([]byte, error) {
-	for delay := 50 * time.Millisecond; ; {
-		body, _, err := c.get("/v1/sweep/" + id)
-		if err != nil {
-			return nil, err
-		}
-		var job struct {
-			Status string `json:"status"`
-		}
-		if err := json.Unmarshal(body, &job); err != nil {
-			return nil, err
-		}
-		switch job.Status {
-		case "done", "failed", "canceled":
-			return body, nil
-		}
-		time.Sleep(delay)
-		if delay < 2*time.Second {
-			delay *= 2
-		}
-	}
+	return service.SweepAxis{Name: name, Field: field, Values: vals}, nil
 }
 
 // printSweepJob renders a terminal job as text: the calibration
 // trace, the sensitivity ranking, or the raw point table.
-func printSweepJob(job sweepJobInfo) error {
+func printSweepJob(job service.SweepJob) error {
 	if job.Status != "done" {
 		return fmt.Errorf("job %s %s: %s", job.ID, job.Status, job.Error)
 	}
-	var res sweepResult
-	if err := json.Unmarshal(job.Result, &res); err != nil {
-		return fmt.Errorf("decoding result: %w", err)
-	}
+	res := job.Result
 	switch {
 	case res.Trace != "":
 		fmt.Print(res.Trace)

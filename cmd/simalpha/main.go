@@ -6,8 +6,8 @@
 //	simalpha [-m machine] [-limit n] [-counters] <workload>
 //	simalpha [-m machine] [-limit n] [-counters] -f program.s
 //
-// Machines: sim-alpha (default), sim-initial, sim-stripped,
-// sim-outorder, native, or sim-alpha-without-<feature>.
+// Machines: any registered backend (sim-alpha by default), native
+// for native-ds10l, or sim-alpha-without-<feature>.
 // Workloads: any microbenchmark (C-Ca ... M-IP, stream, lmbench) or
 // macrobenchmark (gzip ... lucas).
 package main
@@ -105,16 +105,7 @@ func main() {
 }
 
 func machine(name string) (repro.Machine, error) {
-	switch name {
-	case "sim-alpha":
-		return repro.SimAlpha(), nil
-	case "sim-initial":
-		return repro.SimInitial(), nil
-	case "sim-stripped":
-		return repro.SimStripped(), nil
-	case "sim-outorder":
-		return repro.SimOutorder(), nil
-	case "native":
+	if name == "native" {
 		return repro.NativeDS10L(), nil
 	}
 	if f, ok := strings.CutPrefix(name, "sim-alpha-without-"); ok {
@@ -126,8 +117,6 @@ func machine(name string) (repro.Machine, error) {
 		return nil, fmt.Errorf("unknown feature in %q (features: %s)",
 			name, strings.Join(repro.FeatureNames(), " "))
 	}
-	// Anything else resolves through the backend registry, so every
-	// registered machine (sim-alpha-ddr, sim-interval, ...) works here
-	// without this switch growing a case per backend.
+	// Every registered machine resolves through the backend registry.
 	return repro.NewMachine(name)
 }

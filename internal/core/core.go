@@ -75,6 +75,16 @@ func (w Workload) checkRestore() error {
 	return nil
 }
 
+// Capped returns the workload with its instruction budget lowered to
+// limit. A zero limit, or one at or above the current budget, leaves
+// the budget as it is; a workload that runs to HALT takes the limit.
+func (w Workload) Capped(limit uint64) Workload {
+	if limit > 0 && (w.MaxInstructions == 0 || w.MaxInstructions > limit) {
+		w.MaxInstructions = limit
+	}
+	return w
+}
+
 // Source returns a fresh dynamic instruction stream for the workload.
 func (w Workload) Source() cpu.Source {
 	var c cpu.Source

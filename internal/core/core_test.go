@@ -54,6 +54,28 @@ func TestWorkloadSourceLimited(t *testing.T) {
 	}
 }
 
+func TestWorkloadCapped(t *testing.T) {
+	for _, c := range []struct {
+		budget, limit, want uint64
+	}{
+		{0, 0, 0},        // no limit, runs to HALT
+		{0, 500, 500},    // a HALT-bounded workload takes the limit
+		{1000, 0, 1000},  // zero limit keeps the budget
+		{1000, 500, 500}, // a lower limit cuts the budget
+		{1000, 1000, 1000},
+		{1000, 2000, 1000}, // a higher limit never raises it
+	} {
+		w := Workload{Name: "w", MaxInstructions: c.budget}
+		got := w.Capped(c.limit)
+		if got.MaxInstructions != c.want {
+			t.Errorf("budget %d capped at %d = %d, want %d", c.budget, c.limit, got.MaxInstructions, c.want)
+		}
+		if got.Name != w.Name || w.MaxInstructions != c.budget {
+			t.Errorf("Capped changed the workload's identity or the receiver: %+v from %+v", got, w)
+		}
+	}
+}
+
 func TestRunResultMath(t *testing.T) {
 	r := RunResult{Machine: "m", Workload: "w", Instructions: 200, Cycles: 100}
 	if r.IPC() != 2.0 {

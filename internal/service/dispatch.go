@@ -23,15 +23,13 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -42,15 +40,15 @@ import (
 	"repro/internal/workgen"
 )
 
-// cellRequest is the POST /v1/cell body: one simulation cell by
+// CellRequest is the POST /v1/cell body: one simulation cell by
 // machine name, axis assignments (each axis carries exactly one
 // value — the cell's coordinate), workload name, and budget.
-type cellRequest struct {
+type CellRequest struct {
 	Machine  string           `json:"machine"`
 	Workload string           `json:"workload"`
 	Limit    uint64           `json:"limit,omitempty"`
 	Sample   *core.SamplePlan `json:"sample,omitempty"`
-	Axes     []sweepAxis      `json:"axes,omitempty"`
+	Axes     []SweepAxis      `json:"axes,omitempty"`
 	// Generate carries a minted workload's generation spec: the worker
 	// regenerates the program deterministically from the spec (minted
 	// catalogues are per-process, so the name alone would not resolve
@@ -62,14 +60,13 @@ type cellRequest struct {
 // tier: rebuild the cell's config, run it through the local
 // content-addressed cache, and return the marshaled core.RunResult.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	var req cellRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	var req CellRequest
+	if !s.decode(w, r, &req) {
 		return
 	}
-	spec, ok := s.byMachine[req.Machine]
-	if !ok {
-		s.fail(w, http.StatusNotFound, "unknown machine %q", req.Machine)
+	spec, err := model.ByName(req.Machine)
+	if err != nil {
+		s.fail(w, http.StatusNotFound, "unknown machine: %v", err)
 		return
 	}
 	var wl workloadSpec
@@ -117,10 +114,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		}
 		cfg = pointCfg
 	}
-	work := wl.w
-	if req.Limit > 0 && (work.MaxInstructions == 0 || work.MaxInstructions > req.Limit) {
-		work.MaxInstructions = req.Limit
-	}
+	work := wl.w.Capped(req.Limit)
 	if req.Sample != nil {
 		if err := req.Sample.Check(); err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
@@ -166,7 +160,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 // process records the events it simulated itself).
 func (s *Server) runCell(spec model.Descriptor, work core.Workload) (core.RunResult, error) {
 	if s.dispatch != nil {
-		req := cellRequest{
+		req := CellRequest{
 			Machine:  spec.Name,
 			Workload: work.Name,
 			Limit:    work.MaxInstructions,
@@ -199,8 +193,8 @@ func (s *Server) runCell(spec model.Descriptor, work core.Workload) (core.RunRes
 
 // workerRef is one registered worker with its liveness state.
 type workerRef struct {
-	idx  int
-	base string
+	idx    int
+	client *Client
 	// down marks a worker lost after a transport error; lost workers
 	// are optimistically re-probed after probeCooldown.
 	down      atomic.Bool
@@ -213,7 +207,6 @@ const probeCooldown = 15 * time.Second
 
 // dispatcher shards cells over the worker tier.
 type dispatcher struct {
-	client     *http.Client
 	reg        *metrics.Registry
 	stealAfter time.Duration
 	workers    []*workerRef
@@ -224,19 +217,14 @@ func newDispatcher(workers []string, stealAfter time.Duration, reg *metrics.Regi
 		stealAfter = 15 * time.Second
 	}
 	d := &dispatcher{
-		client:     &http.Client{Timeout: 5 * time.Minute},
 		reg:        reg,
 		stealAfter: stealAfter,
 	}
-	for i, base := range workers {
-		base = strings.TrimRight(base, "/")
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
+	for i, addr := range workers {
 		d.workers = append(d.workers, &workerRef{
-			idx:   i,
-			base:  base,
-			cells: reg.Counter(fmt.Sprintf("dispatch_worker_%d_cells_total", i)),
+			idx:    i,
+			client: NewClient(addr),
+			cells:  reg.Counter(fmt.Sprintf("dispatch_worker_%d_cells_total", i)),
 		})
 	}
 	reg.Gauge("dispatch_workers").Set(int64(len(d.workers)))
@@ -275,44 +263,13 @@ func (d *dispatcher) lose(w *workerRef) {
 	w.downSince.Store(time.Now().UnixNano())
 }
 
-// errStatus is a non-retryable worker response: the worker is alive
-// and rejected the cell, so every worker (and a local run) would too.
-type errStatus struct {
-	code int
-	msg  string
-}
-
-func (e *errStatus) Error() string { return fmt.Sprintf("worker returned %d: %s", e.code, e.msg) }
-
-// attempt posts the cell to one worker and returns the result bytes.
-func (d *dispatcher) attempt(ctx context.Context, w *workerRef, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/cell", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, &errStatus{code: resp.StatusCode, msg: strings.TrimSpace(string(out))}
-	}
-	return out, nil
-}
-
 // run dispatches one cell: home worker by shard affinity, steal to
 // the next worker if the home straggles past the timer, retry down
 // the shard order on transport errors, and an error return once
 // every worker has failed (the caller falls back to local
 // execution). First successful result wins; duplicate executions are
 // harmless because cells are deterministic and content-addressed.
-func (d *dispatcher) run(ctx context.Context, req cellRequest) ([]byte, error) {
+func (d *dispatcher) run(ctx context.Context, req CellRequest) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -336,7 +293,7 @@ func (d *dispatcher) run(ctx context.Context, req cellRequest) ([]byte, error) {
 		launched++
 		w.cells.Inc()
 		go func() {
-			out, err := d.attempt(ctx, w, body)
+			out, err := w.client.cell(ctx, body)
 			resc <- outcome{out, err, w}
 		}()
 	}
@@ -354,9 +311,12 @@ func (d *dispatcher) run(ctx context.Context, req cellRequest) ([]byte, error) {
 				return o.body, nil
 			}
 			lastErr = o.err
-			if st, ok := o.err.(*errStatus); ok {
-				// The worker is alive; its rejection is the cell's answer.
-				return nil, st
+			var st *StatusError
+			if errors.As(o.err, &st) {
+				// The worker is alive and rejected the cell, so every
+				// worker (and a local run) would too: its rejection is
+				// the cell's answer.
+				return nil, o.err
 			}
 			d.lose(o.w)
 			if launched < len(order) {

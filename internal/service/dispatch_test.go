@@ -69,6 +69,19 @@ func TestCellEndpoint(t *testing.T) {
 		t.Fatalf("cell result = %+v", res)
 	}
 
+	// The bare model name resolves through the registry to the same
+	// cell, served from the same cache entry.
+	alias := strings.Replace(body, `"sim-alpha"`, `"alpha"`, 1)
+	resp, err = http.Post(ts.URL+"/v1/cell", "application/json", strings.NewReader(alias))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Simcache") != "hit" {
+		t.Fatalf("POST /v1/cell by bare model name = %d, X-Simcache %q, want 200 hit",
+			resp.StatusCode, resp.Header.Get("X-Simcache"))
+	}
+
 	// Bad cells are rejected, not simulated.
 	for name, bad := range map[string]string{
 		"unknown machine":  `{"machine": "sim-nope", "workload": "C-Ca"}`,
@@ -96,13 +109,13 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	w2, wts2 := newWorker(t)
 	coord, cts := newCoordinator(t, 30*time.Second, wts1.URL, wts2.URL)
 
-	_, info := postSweep(t, solo.URL, tinySweepBody)
+	info := submitSweep(t, solo.URL, tinySweep)
 	want := waitSweep(t, solo.URL, info.ID)
 	if want.Status != sweepDone {
 		t.Fatalf("single-node job = %q (%s)", want.Status, want.Error)
 	}
 
-	_, dinfo := postSweep(t, cts.URL, tinySweepBody)
+	dinfo := submitSweep(t, cts.URL, tinySweep)
 	got := waitSweep(t, cts.URL, dinfo.ID)
 	if got.Status != sweepDone {
 		t.Fatalf("distributed job = %q (%s)", got.Status, got.Error)
@@ -147,10 +160,10 @@ func TestDispatchWorkerLoss(t *testing.T) {
 	coord, cts := newCoordinator(t, 30*time.Second, wts1.URL, wts2.URL)
 	wts2.Close() // one worker is gone before any cell lands
 
-	_, info := postSweep(t, solo.URL, tinySweepBody)
+	info := submitSweep(t, solo.URL, tinySweep)
 	want := waitSweep(t, solo.URL, info.ID)
 
-	_, dinfo := postSweep(t, cts.URL, tinySweepBody)
+	dinfo := submitSweep(t, cts.URL, tinySweep)
 	got := waitSweep(t, cts.URL, dinfo.ID)
 	if got.Status != sweepDone {
 		t.Fatalf("job = %q (%s), want done despite worker loss", got.Status, got.Error)
@@ -183,10 +196,10 @@ func TestDispatchAllWorkersLost(t *testing.T) {
 	coord, cts := newCoordinator(t, 30*time.Second, wts1.URL)
 	wts1.Close()
 
-	_, info := postSweep(t, solo.URL, tinySweepBody)
+	info := submitSweep(t, solo.URL, tinySweep)
 	want := waitSweep(t, solo.URL, info.ID)
 
-	_, dinfo := postSweep(t, cts.URL, tinySweepBody)
+	dinfo := submitSweep(t, cts.URL, tinySweep)
 	got := waitSweep(t, cts.URL, dinfo.ID)
 	if got.Status != sweepDone {
 		t.Fatalf("job = %q (%s), want done via local fallback", got.Status, got.Error)
@@ -221,7 +234,7 @@ func TestDispatchSteal(t *testing.T) {
 
 	coord, cts := newCoordinator(t, 20*time.Millisecond, slow.URL, wts2.URL)
 
-	_, dinfo := postSweep(t, cts.URL, tinySweepBody)
+	dinfo := submitSweep(t, cts.URL, tinySweep)
 	got := waitSweep(t, cts.URL, dinfo.ID)
 	if got.Status != sweepDone {
 		t.Fatalf("job = %q (%s)", got.Status, got.Error)
@@ -282,11 +295,8 @@ func TestDispatchGeneratedCell(t *testing.T) {
 
 	spec := workgen.DefaultSpec()
 	spec.Iters = 300
-	body := specBody(t, spec)
 	for _, u := range []string{solo.URL, cts.URL} {
-		if code, _ := postGenerate(t, u, body); code != http.StatusCreated {
-			t.Fatalf("mint on %s = %d", u, code)
-		}
+		mint(t, u, GenerateRequest{Spec: &spec})
 	}
 
 	q := "/v1/run?machine=sim-alpha&workload=" + spec.Name() + "&limit=3000"

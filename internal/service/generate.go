@@ -8,7 +8,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -66,15 +65,15 @@ func (s *Server) restoreWorkloads() {
 // non-generated workload. Served as 409 Conflict.
 var ErrWorkloadExists = errors.New("workload already exists in the catalogue")
 
-// generateRequest is the body of POST /v1/workloads/generate: exactly
+// GenerateRequest is the body of POST /v1/workloads/generate: exactly
 // one of Spec (mint one workload) or Family (mint every member).
-type generateRequest struct {
+type GenerateRequest struct {
 	Spec   *workgen.Spec   `json:"spec,omitempty"`
 	Family *workgen.Family `json:"family,omitempty"`
 }
 
-// mintedInfo describes one minted workload in the response.
-type mintedInfo struct {
+// MintedWorkload describes one minted workload in the response.
+type MintedWorkload struct {
 	Name   string `json:"name"`
 	Family string `json:"family,omitempty"`
 	Axis   string `json:"axis,omitempty"`
@@ -84,15 +83,14 @@ type mintedInfo struct {
 	Minted bool `json:"minted"`
 }
 
-// generateResponse is the body of a successful mint.
-type generateResponse struct {
-	Workloads []mintedInfo `json:"workloads"`
+// GenerateResponse is the body of a successful mint.
+type GenerateResponse struct {
+	Workloads []MintedWorkload `json:"workloads"`
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	var req generateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	var req GenerateRequest
+	if !s.decode(w, r, &req) {
 		return
 	}
 	switch {
@@ -134,7 +132,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp := generateResponse{}
+	resp := GenerateResponse{}
 	for _, m := range members {
 		wk, err := workgen.Generate(m.spec)
 		if err != nil {
@@ -153,7 +151,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, code, "%v", err)
 			return
 		}
-		resp.Workloads = append(resp.Workloads, mintedInfo{
+		resp.Workloads = append(resp.Workloads, MintedWorkload{
 			Name: wk.Name, Family: m.fam, Axis: m.axis, Level: m.level, Minted: minted,
 		})
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -16,22 +17,14 @@ import (
 	"repro/internal/workgen"
 )
 
-// postGenerate submits a mint request and returns the status and
-// decoded response (zero on error statuses).
-func postGenerate(t *testing.T, url, body string) (int, generateResponse) {
+// mint mints workloads through the client.
+func mint(t *testing.T, url string, req GenerateRequest) GenerateResponse {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/workloads/generate", "application/json", strings.NewReader(body))
+	out, err := NewClient(url).Generate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out generateResponse
-	if resp.StatusCode == http.StatusCreated {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp.StatusCode, out
+	return out
 }
 
 func specBody(t *testing.T, s workgen.Spec) string {
@@ -54,10 +47,7 @@ func TestGenerateMintRunAndCacheNamespace(t *testing.T) {
 
 	spec := workgen.DefaultSpec()
 	spec.Iters = 300
-	code, out := postGenerate(t, ts.URL, specBody(t, spec))
-	if code != http.StatusCreated {
-		t.Fatalf("POST generate = %d", code)
-	}
+	out := mint(t, ts.URL, GenerateRequest{Spec: &spec})
 	if len(out.Workloads) != 1 || !out.Workloads[0].Minted || out.Workloads[0].Name != spec.Name() {
 		t.Fatalf("mint response = %+v, want one minted %q", out.Workloads, spec.Name())
 	}
@@ -67,9 +57,9 @@ func TestGenerateMintRunAndCacheNamespace(t *testing.T) {
 
 	// Re-posting the identical spec is idempotent: no new entry, no
 	// counter bump.
-	code, out = postGenerate(t, ts.URL, specBody(t, spec))
-	if code != http.StatusCreated || len(out.Workloads) != 1 || out.Workloads[0].Minted {
-		t.Fatalf("re-mint = %d %+v, want 201 with minted=false", code, out.Workloads)
+	out = mint(t, ts.URL, GenerateRequest{Spec: &spec})
+	if len(out.Workloads) != 1 || out.Workloads[0].Minted {
+		t.Fatalf("re-mint = %+v, want minted=false", out.Workloads)
 	}
 	if got := s.Metrics().Counter("workgen_minted_total").Value(); got != 1 {
 		t.Fatalf("workgen_minted_total after re-mint = %d, want 1", got)
@@ -77,7 +67,7 @@ func TestGenerateMintRunAndCacheNamespace(t *testing.T) {
 
 	// The catalogue lists the minted entry as generated.
 	_, _, body := get(t, ts.URL+"/v1/workloads")
-	var infos []workloadInfo
+	var infos []WorkloadInfo
 	if err := json.Unmarshal(body, &infos); err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +122,7 @@ func TestGenerateSampledRun(t *testing.T) {
 
 	spec := workgen.DefaultSpec()
 	spec.Iters = 2000
-	if code, _ := postGenerate(t, ts.URL, specBody(t, spec)); code != http.StatusCreated {
-		t.Fatalf("mint = %d", code)
-	}
+	mint(t, ts.URL, GenerateRequest{Spec: &spec})
 	base := fmt.Sprintf("%s/v1/run?machine=sim-alpha&workload=%s&limit=20000", ts.URL, spec.Name())
 	code, hdr, body := get(t, base)
 	if code != http.StatusOK {
@@ -208,9 +196,7 @@ func TestGenerateBudget(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	first := workgen.DefaultSpec()
-	if code, _ := postGenerate(t, ts.URL, specBody(t, first)); code != http.StatusCreated {
-		t.Fatalf("first mint = %d", code)
-	}
+	mint(t, ts.URL, GenerateRequest{Spec: &first})
 	second := first
 	second.Seed = 2
 	resp, err := http.Post(ts.URL+"/v1/workloads/generate", "application/json",
@@ -223,8 +209,8 @@ func TestGenerateBudget(t *testing.T) {
 		t.Fatalf("over-budget mint = %d, want 429", resp.StatusCode)
 	}
 	// Re-minting the first spec stays idempotent even at the bound.
-	if code, out := postGenerate(t, ts.URL, specBody(t, first)); code != http.StatusCreated || out.Workloads[0].Minted {
-		t.Fatalf("idempotent re-mint at bound = %d %+v", code, out.Workloads)
+	if out := mint(t, ts.URL, GenerateRequest{Spec: &first}); out.Workloads[0].Minted {
+		t.Fatalf("idempotent re-mint at bound = %+v", out.Workloads)
 	}
 }
 
@@ -262,15 +248,9 @@ func TestGenerateFamilyMintAndSweep(t *testing.T) {
 		Name: "ws-mini", Base: base,
 		Axis: workgen.AxisWorkingSet, Levels: []int{8, 16, 32},
 	}
-	famJSON, err := json.Marshal(struct {
-		Family workgen.Family `json:"family"`
-	}{fam})
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, out := postGenerate(t, ts.URL, string(famJSON))
-	if code != http.StatusCreated || len(out.Workloads) != 3 {
-		t.Fatalf("family mint = %d with %d workloads, want 201 with 3", code, len(out.Workloads))
+	out := mint(t, ts.URL, GenerateRequest{Family: &fam})
+	if len(out.Workloads) != 3 {
+		t.Fatalf("family mint = %d workloads, want 3", len(out.Workloads))
 	}
 	for i, wi := range out.Workloads {
 		if wi.Family != "ws-mini" || wi.Axis != workgen.AxisWorkingSet || wi.Level != fam.Levels[i] {
@@ -286,22 +266,13 @@ func TestGenerateFamilyMintAndSweep(t *testing.T) {
 	inline.Name = "ilp-mini"
 	inline.Axis = workgen.AxisILPWidth
 	inline.Levels = []int{1, 2, 4}
-	sweepBody, err := json.Marshal(map[string]any{
-		"machine": "sim-alpha",
-		"axes": []map[string]any{
-			{"name": "issue", "field": "IntIssueWidth", "values": []int{4, 2}},
-		},
-		"workloads": []string{out.Workloads[0].Name, out.Workloads[2].Name},
-		"generate":  inline,
-		"limit":     3000,
+	info := submitSweep(t, ts.URL, SweepRequest{
+		Machine:   "sim-alpha",
+		Axes:      []SweepAxis{{Name: "issue", Field: "IntIssueWidth", Values: []any{4, 2}}},
+		Workloads: []string{out.Workloads[0].Name, out.Workloads[2].Name},
+		Generate:  &inline,
+		Limit:     3000,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, info := postSweep(t, ts.URL, string(sweepBody))
-	if code != http.StatusAccepted {
-		t.Fatalf("POST /v1/sweep = %d", code)
-	}
 	done := waitSweep(t, ts.URL, info.ID)
 	if done.Status != sweepDone {
 		t.Fatalf("sweep = %q (%s), want done", done.Status, done.Error)
@@ -352,8 +323,8 @@ func TestGeneratePersistAcrossRestart(t *testing.T) {
 
 	spec := workgen.DefaultSpec()
 	spec.Iters = 300
-	if code, out := postGenerate(t, ts1.URL, specBody(t, spec)); code != http.StatusCreated || !out.Workloads[0].Minted {
-		t.Fatalf("mint = %d %+v", code, out.Workloads)
+	if out := mint(t, ts1.URL, GenerateRequest{Spec: &spec}); !out.Workloads[0].Minted {
+		t.Fatalf("mint = %+v", out.Workloads)
 	}
 	if n := s1.Metrics().Counter("workgen_persist_errors_total").Value(); n != 0 {
 		t.Fatalf("persist errors on mint: %d", n)
@@ -373,7 +344,7 @@ func TestGeneratePersistAcrossRestart(t *testing.T) {
 	}
 
 	_, _, body := get(t, ts2.URL+"/v1/workloads")
-	var infos []workloadInfo
+	var infos []WorkloadInfo
 	if err := json.Unmarshal(body, &infos); err != nil {
 		t.Fatal(err)
 	}
@@ -397,8 +368,8 @@ func TestGeneratePersistAcrossRestart(t *testing.T) {
 	}
 
 	// Re-minting the restored spec is idempotent, not a conflict.
-	if code, out := postGenerate(t, ts2.URL, specBody(t, spec)); code != http.StatusCreated || out.Workloads[0].Minted {
-		t.Fatalf("re-mint after restore = %d %+v, want 201 minted=false", code, out.Workloads)
+	if out := mint(t, ts2.URL, GenerateRequest{Spec: &spec}); out.Workloads[0].Minted {
+		t.Fatalf("re-mint after restore = %+v, want minted=false", out.Workloads)
 	}
 
 	// The rotten spec surfaced on the store's corruption counter, and

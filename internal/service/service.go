@@ -25,10 +25,10 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,9 +100,6 @@ type Config struct {
 	// (0 = GOMAXPROCS). It never enters cache keys: rendered output
 	// is byte-identical at every setting.
 	Parallelism int
-	// Machines overrides the served backend list (nil = every backend
-	// in the model registry, in registry order).
-	Machines []model.Descriptor
 	// MaxSweepPoints bounds how many design-space points one sweep job
 	// may visit (0 = 256). Submissions over the bound fail fast at POST.
 	MaxSweepPoints int
@@ -133,11 +130,9 @@ type Config struct {
 // Server implements the simulation service. Create with New, mount
 // with Handler.
 type Server struct {
-	cfg       Config
-	cache     *simcache.Cache
-	metrics   *metrics.Registry
-	machines  []model.Descriptor
-	byMachine map[string]model.Descriptor
+	cfg     Config
+	cache   *simcache.Cache
+	metrics *metrics.Registry
 
 	// The workload catalogue: builtins at construction, plus minted
 	// generated workloads (see generate.go). wlMu guards both; minted
@@ -157,7 +152,7 @@ type Server struct {
 	// Sweep-job state (see sweep.go): submitted jobs by ID, submission
 	// order for listing/eviction, and the running-jobs semaphore.
 	sweepMu    sync.Mutex
-	sweeps     map[string]*sweepJob
+	sweeps     map[string]*sweepTask
 	sweepOrder []string
 	sweepSeq   int
 	sweepSem   chan struct{}
@@ -183,26 +178,16 @@ func New(cfg Config) *Server {
 	if cfg.MaxGenerated <= 0 {
 		cfg.MaxGenerated = 256
 	}
-	machines := cfg.Machines
-	if machines == nil {
-		machines = model.Backends()
-	}
-	byMachine := make(map[string]model.Descriptor, len(machines))
-	for _, m := range machines {
-		byMachine[m.Name] = m
-	}
 	order, byWork := defaultWorkloads()
 	s := &Server{
-		cfg:       cfg,
-		cache:     simcache.New(cfg.CacheEntries),
-		metrics:   metrics.NewRegistry(),
-		machines:  machines,
-		byMachine: byMachine,
-		wlOrder:   order,
-		byWork:    byWork,
-		sem:       make(chan struct{}, cfg.MaxConcurrent),
-		sweeps:    make(map[string]*sweepJob),
-		sweepSem:  make(chan struct{}, cfg.MaxSweepJobs),
+		cfg:      cfg,
+		cache:    simcache.New(cfg.CacheEntries),
+		metrics:  metrics.NewRegistry(),
+		wlOrder:  order,
+		byWork:   byWork,
+		sem:      make(chan struct{}, cfg.MaxConcurrent),
+		sweeps:   make(map[string]*sweepTask),
+		sweepSem: make(chan struct{}, cfg.MaxSweepJobs),
 	}
 	if cfg.Tier2 != nil {
 		s.cache.SetTier2(cfg.Tier2)
@@ -325,7 +310,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-type machineInfo struct {
+// MachineInfo is one entry of the GET /v1/machines catalogue.
+type MachineInfo struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`
 	Fingerprint string `json:"fingerprint"`
@@ -338,9 +324,10 @@ type machineInfo struct {
 }
 
 func (s *Server) handleMachines(w http.ResponseWriter, _ *http.Request) {
-	out := make([]machineInfo, 0, len(s.machines))
-	for _, m := range s.machines {
-		out = append(out, machineInfo{
+	backends := model.Backends()
+	out := make([]MachineInfo, 0, len(backends))
+	for _, m := range backends {
+		out = append(out, MachineInfo{
 			Name:         m.Name,
 			Description:  m.Description,
 			Fingerprint:  simcache.KeyOf("machine", simcache.Fingerprint(m.Config)).String()[:12],
@@ -351,7 +338,8 @@ func (s *Server) handleMachines(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-type workloadInfo struct {
+// WorkloadInfo is one entry of the GET /v1/workloads catalogue.
+type WorkloadInfo struct {
 	Name     string `json:"name"`
 	Category string `json:"category"`
 	Suite    string `json:"suite"`
@@ -365,10 +353,10 @@ type workloadInfo struct {
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	s.wlMu.RLock()
-	out := make([]workloadInfo, 0, len(s.wlOrder))
+	out := make([]WorkloadInfo, 0, len(s.wlOrder))
 	for _, name := range s.wlOrder {
 		spec := s.byWork[name]
-		out = append(out, workloadInfo{
+		out = append(out, WorkloadInfo{
 			Name: name, Category: spec.w.Category, Suite: spec.suite,
 			Generated: spec.gen != nil,
 			Family:    spec.family, Axis: spec.axis, Level: spec.level,
@@ -378,9 +366,9 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// runParams is the input of /v1/run, from query params (GET) or a
+// RunRequest is the input of /v1/run, from query params (GET) or a
 // JSON body (POST).
-type runParams struct {
+type RunRequest struct {
 	Machine string `json:"machine"`
 	// Backend is an alias for Machine in registry terms: the exact
 	// backend name, or the bare model name ("interval" resolves to
@@ -390,7 +378,9 @@ type runParams struct {
 	Limit    uint64 `json:"limit"`
 	// Sample requests interval sampling. The plan defaults to
 	// sample.PlanFor over the effective run length; the explicit
-	// fields below override it knob by knob.
+	// fields below override it knob by knob. On GET any sample_*
+	// parameter implies Sample; a POST body must set it (Client.Run
+	// does whenever a knob is set).
 	Sample          bool   `json:"sample"`
 	SamplePeriod    uint64 `json:"sample_period"`
 	SampleWarmup    uint64 `json:"sample_warmup"`
@@ -400,7 +390,7 @@ type runParams struct {
 
 // samplePlan resolves the request's sampling schedule against the
 // effective run length.
-func (p runParams) samplePlan(limit uint64) core.SamplePlan {
+func (p RunRequest) samplePlan(limit uint64) core.SamplePlan {
 	plan := sample.PlanFor(limit)
 	if p.SamplePeriod > 0 {
 		plan.Period = p.SamplePeriod
@@ -447,10 +437,9 @@ type RunResponse struct {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var p runParams
+	var p RunRequest
 	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-			s.fail(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+		if !s.decode(w, r, &p) {
 			return
 		}
 	} else {
@@ -510,10 +499,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "machine (or backend) and workload are required")
 		return
 	}
-	spec, ok := s.resolveBackend(name)
-	if !ok {
-		s.fail(w, http.StatusNotFound, "unknown machine %q (have: %s)",
-			name, strings.Join(s.machineNames(), ", "))
+	spec, err := model.ByName(name)
+	if err != nil {
+		s.fail(w, http.StatusNotFound, "unknown machine: %v", err)
 		return
 	}
 	if p.Sample && !spec.Capabilities().Samplable {
@@ -534,10 +522,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// sampled run measures a different quantity than a full one, so it
 	// lives under its own key prefix with the plan in the address —
 	// full-run key bytes are untouched by the sampling subsystem.
-	work := wl.w
-	if p.Limit > 0 && (work.MaxInstructions == 0 || work.MaxInstructions > p.Limit) {
-		work.MaxInstructions = p.Limit
-	}
+	work := wl.w.Capped(p.Limit)
 	workID := simcache.Fingerprint(struct {
 		Name        string
 		FastForward uint64
@@ -742,26 +727,7 @@ func (s *Server) acquire() {
 
 func (s *Server) release() { <-s.sem }
 
-// resolveBackend finds a served backend by exact name, falling back
-// to the bare model name ("interval" → "sim-interval"), mirroring
-// model.ByName but restricted to the machines this server serves.
-func (s *Server) resolveBackend(name string) (model.Descriptor, bool) {
-	if d, ok := s.byMachine[name]; ok {
-		return d, true
-	}
-	d, ok := s.byMachine["sim-"+name]
-	return d, ok
-}
-
-func (s *Server) machineNames() []string {
-	names := make([]string, 0, len(s.byMachine))
-	for _, m := range s.machines {
-		names = append(names, m.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
+// errorBody is the JSON body of every error fail reports.
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -769,6 +735,27 @@ type errorBody struct {
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	s.metrics.Counter("request_errors_total").Inc()
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
+}
+
+// maxBodyBytes bounds every POST body. The largest legitimate one, a
+// sweep over a generated family, is a few kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decode reads a JSON request body of at most maxBodyBytes into v. On
+// failure it answers the request itself, 413 past the bound and 400
+// otherwise, and reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	} else {
+		s.fail(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -57,11 +57,11 @@ func TestMachinesAndWorkloads(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/v1/machines = %d: %s", code, body)
 	}
-	var machines []machineInfo
+	var machines []MachineInfo
 	if err := json.Unmarshal(body, &machines); err != nil {
 		t.Fatal(err)
 	}
-	names := make(map[string]machineInfo)
+	names := make(map[string]MachineInfo)
 	for _, m := range machines {
 		names[m.Name] = m
 	}
@@ -92,7 +92,7 @@ func TestMachinesAndWorkloads(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/v1/workloads = %d: %s", code, body)
 	}
-	var workloads []workloadInfo
+	var workloads []WorkloadInfo
 	if err := json.Unmarshal(body, &workloads); err != nil {
 		t.Fatal(err)
 	}
@@ -488,5 +488,27 @@ func TestBackendParamAndCapabilityGate(t *testing.T) {
 	code, _, body = get(t, ts.URL+"/v1/run?backend=nonesuch&workload=C-Ca")
 	if code != http.StatusNotFound {
 		t.Errorf("unknown backend = %d (%s), want 404", code, body)
+	}
+}
+
+// TestPostBodyBound sends a body past maxBodyBytes to every POST
+// route: each answers 413 without decoding it, and the server keeps
+// answering afterwards.
+func TestPostBodyBound(t *testing.T) {
+	_, ts := newTestServer(t)
+	big := `{"workload":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, route := range []string{"/v1/run", "/v1/cell", "/v1/workloads/generate", "/v1/sweep"} {
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatalf("POST %s: %v", route, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "exceeds") {
+			t.Errorf("POST %s with %d bytes = %d %s, want 413", route, len(big), resp.StatusCode, body)
+		}
+		if code, _, body := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+			t.Fatalf("healthz after oversized POST %s = %d: %s", route, code, body)
+		}
 	}
 }

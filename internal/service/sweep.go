@@ -11,11 +11,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,22 +23,22 @@ import (
 	"repro/internal/workgen"
 )
 
-// sweepAxis is one requested axis: a name, a dot-path into the
+// SweepAxis is one requested axis: a name, a dot-path into the
 // machine's config struct, and the candidate values (the first is the
 // baseline by convention).
-type sweepAxis struct {
+type SweepAxis struct {
 	Name   string `json:"name"`
 	Field  string `json:"field"`
 	Values []any  `json:"values"`
 }
 
-// sweepRequest is the POST /v1/sweep body.
-type sweepRequest struct {
+// SweepRequest is the POST /v1/sweep body.
+type SweepRequest struct {
 	// Machine is the swept base config (default "sim-alpha"; for a
 	// calibration with no axes, "sim-initial"). The reference machine
 	// is not sweepable: its config is an identity, not a buildable one.
 	Machine string      `json:"machine"`
-	Axes    []sweepAxis `json:"axes"`
+	Axes    []SweepAxis `json:"axes"`
 	// Strategy picks the enumeration: "grid" (default), "random"
 	// (Seed + Samples), or "ofat". Ignored by the calibration
 	// analysis, which does its own coordinate descent.
@@ -65,8 +63,8 @@ type sweepRequest struct {
 	MaxRounds int `json:"max_rounds,omitempty"`
 }
 
-// sweepCell is one workload's result at one point.
-type sweepCell struct {
+// SweepCell is one workload's result at one point.
+type SweepCell struct {
 	Workload     string  `json:"workload"`
 	Instructions uint64  `json:"instructions"`
 	Cycles       uint64  `json:"cycles"`
@@ -74,16 +72,16 @@ type sweepCell struct {
 	CPI          float64 `json:"cpi"`
 }
 
-// sweepPointOut is one explored point in a raw sweep result.
-type sweepPointOut struct {
+// SweepPoint is one explored point in a raw sweep result.
+type SweepPoint struct {
 	Label string      `json:"label"`
-	Cells []sweepCell `json:"cells"`
+	Cells []SweepCell `json:"cells"`
 }
 
-// sweepJobResult is the completed job's payload: exactly one of
+// SweepResult is the completed job's payload: exactly one of
 // Points / Sensitivity / Calibration is populated, per Analysis.
-type sweepJobResult struct {
-	Points      []sweepPointOut          `json:"points,omitempty"`
+type SweepResult struct {
+	Points      []SweepPoint             `json:"points,omitempty"`
 	Sensitivity *sweep.SensitivityResult `json:"sensitivity,omitempty"`
 	Calibration *sweep.CalibrationResult `json:"calibration,omitempty"`
 	// Trace is the calibration convergence trace, pre-rendered (the
@@ -101,8 +99,8 @@ const (
 	sweepCanceled = "canceled"
 )
 
-// sweepJob is one submitted sweep with its lifecycle state.
-type sweepJob struct {
+// sweepTask is one submitted sweep with its lifecycle state.
+type sweepTask struct {
 	id      string
 	created time.Time
 	cancel  context.CancelFunc
@@ -110,7 +108,7 @@ type sweepJob struct {
 	mu        sync.Mutex
 	status    string
 	errMsg    string
-	result    *sweepJobResult
+	result    *SweepResult
 	machine   string
 	analysis  string
 	strategy  string
@@ -119,7 +117,7 @@ type sweepJob struct {
 	cacheHits int
 }
 
-func (j *sweepJob) setStatus(st string) {
+func (j *sweepTask) setStatus(st string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalSweepStatus(j.status) {
@@ -128,7 +126,7 @@ func (j *sweepJob) setStatus(st string) {
 	j.status = st
 }
 
-func (j *sweepJob) finish(res *sweepJobResult, err error) {
+func (j *sweepTask) finish(res *SweepResult, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalSweepStatus(j.status) {
@@ -150,8 +148,8 @@ func terminalSweepStatus(st string) bool {
 	return st == sweepDone || st == sweepFailed || st == sweepCanceled
 }
 
-// sweepJobInfo is the wire rendering of a job's state.
-type sweepJobInfo struct {
+// SweepJob is the wire rendering of a job's state.
+type SweepJob struct {
 	ID       string `json:"id"`
 	Status   string `json:"status"`
 	Machine  string `json:"machine"`
@@ -165,13 +163,13 @@ type sweepJobInfo struct {
 	Created   time.Time `json:"created"`
 	Error     string    `json:"error,omitempty"`
 	// Result is present only on status "done".
-	Result *sweepJobResult `json:"result,omitempty"`
+	Result *SweepResult `json:"result,omitempty"`
 }
 
-func (j *sweepJob) info(withResult bool) sweepJobInfo {
+func (j *sweepTask) info(withResult bool) SweepJob {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := sweepJobInfo{
+	out := SweepJob{
 		ID:        j.id,
 		Status:    j.status,
 		Machine:   j.machine,
@@ -191,7 +189,7 @@ func (j *sweepJob) info(withResult bool) sweepJobInfo {
 
 // sweepPlan is a validated request, ready to execute.
 type sweepPlan struct {
-	req       sweepRequest
+	req       SweepRequest
 	space     *sweep.Space
 	pts       []sweep.Point // nil for calibration (descent enumerates)
 	strategy  string
@@ -206,7 +204,7 @@ type sweepPlan struct {
 
 // planSweep validates a request into an executable plan. Every error
 // here is the client's fault (HTTP 400/404); nothing has run yet.
-func (s *Server) planSweep(req sweepRequest) (sweepPlan, int, error) {
+func (s *Server) planSweep(req SweepRequest) (sweepPlan, int, error) {
 	plan := sweepPlan{req: req}
 
 	switch req.Analysis {
@@ -234,11 +232,11 @@ func (s *Server) planSweep(req sweepRequest) (sweepPlan, int, error) {
 		if machine == "" {
 			machine = "sim-alpha"
 		}
-		spec, ok := s.byMachine[machine]
-		if !ok {
-			return plan, http.StatusNotFound, fmt.Errorf("unknown machine %q (have: %s)",
-				machine, strings.Join(s.machineNames(), ", "))
+		spec, err := model.ByName(machine)
+		if err != nil {
+			return plan, http.StatusNotFound, fmt.Errorf("unknown machine: %w", err)
 		}
+		machine = spec.Name
 		if _, err := model.Build(spec.Config); err != nil {
 			return plan, http.StatusBadRequest, fmt.Errorf("machine %q is not sweepable: %w", machine, err)
 		}
@@ -312,10 +310,9 @@ func (s *Server) planSweep(req sweepRequest) (sweepPlan, int, error) {
 		if ref == "" {
 			ref = "native-ds10l"
 		}
-		spec, ok := s.byMachine[ref]
-		if !ok {
-			return plan, http.StatusNotFound, fmt.Errorf("unknown reference machine %q (have: %s)",
-				ref, strings.Join(s.machineNames(), ", "))
+		spec, err := model.ByName(ref)
+		if err != nil {
+			return plan, http.StatusNotFound, fmt.Errorf("unknown reference machine: %w", err)
 		}
 		plan.refNew = spec.New
 	}
@@ -371,9 +368,8 @@ func (s *Server) planSweep(req sweepRequest) (sweepPlan, int, error) {
 
 // handleSweepSubmit is POST /v1/sweep: validate, enqueue, 202.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	var req SweepRequest
+	if !s.decode(w, r, &req) {
 		return
 	}
 	plan, code, err := s.planSweep(req)
@@ -400,7 +396,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sweepSeq++
 	ctx, cancel := context.WithCancel(context.Background())
-	job := &sweepJob{
+	job := &sweepTask{
 		id:       fmt.Sprintf("s-%06d", s.sweepSeq),
 		created:  time.Now().UTC(),
 		cancel:   cancel,
@@ -453,7 +449,7 @@ func (s *Server) evictSweepHistoryLocked() {
 // runSweepJob executes one job: waits for a slot, runs the engine,
 // records the outcome and its metrics. The engine shares the server's
 // result cache, so identical resubmissions are nearly free.
-func (s *Server) runSweepJob(ctx context.Context, job *sweepJob, plan sweepPlan) {
+func (s *Server) runSweepJob(ctx context.Context, job *sweepTask, plan sweepPlan) {
 	defer job.cancel() // release the context once the job is terminal
 	select {
 	case s.sweepSem <- struct{}{}:
@@ -477,11 +473,11 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob, plan sweepPlan)
 		// and the worker rebuilds the identical config. A dispatch
 		// failure falls back to local execution inside the engine.
 		eng.Remote = func(ctx context.Context, sp *sweep.Space, p sweep.Point, w core.Workload) ([]byte, error) {
-			axes := make([]sweepAxis, len(sp.Axes))
+			axes := make([]SweepAxis, len(sp.Axes))
 			for i, a := range sp.Axes {
-				axes[i] = sweepAxis{Name: a.Name, Field: a.Field, Values: []any{a.Values[p[i]]}}
+				axes[i] = SweepAxis{Name: a.Name, Field: a.Field, Values: []any{a.Values[p[i]]}}
 			}
-			return s.dispatch.run(ctx, cellRequest{
+			return s.dispatch.run(ctx, CellRequest{
 				Machine:  plan.req.Machine,
 				Workload: w.Name,
 				Limit:    w.MaxInstructions,
@@ -507,7 +503,7 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob, plan sweepPlan)
 	}
 
 	var (
-		res *sweepJobResult
+		res *SweepResult
 		err error
 	)
 	switch plan.req.Analysis {
@@ -517,25 +513,25 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob, plan sweepPlan)
 			err = cerr
 			break
 		}
-		res = &sweepJobResult{Calibration: cal, Trace: cal.Trace(), Stats: cal.Stats}
+		res = &SweepResult{Calibration: cal, Trace: cal.Trace(), Stats: cal.Stats}
 	case "sensitivity":
 		sens, serr := sweep.Sensitivity(ctx, eng, plan.space, nil, ref)
 		if serr != nil {
 			err = serr
 			break
 		}
-		res = &sweepJobResult{Sensitivity: sens, Stats: sens.Stats}
+		res = &SweepResult{Sensitivity: sens, Stats: sens.Stats}
 	default:
 		prs, st, rerr := eng.Run(ctx, plan.space, plan.pts)
 		if rerr != nil {
 			err = rerr
 			break
 		}
-		out := make([]sweepPointOut, len(prs))
+		out := make([]SweepPoint, len(prs))
 		for i, pr := range prs {
-			cells := make([]sweepCell, len(pr.Results))
+			cells := make([]SweepCell, len(pr.Results))
 			for wi, rr := range pr.Results {
-				cells[wi] = sweepCell{
+				cells[wi] = SweepCell{
 					Workload:     rr.Workload,
 					Instructions: rr.Instructions,
 					Cycles:       rr.Cycles,
@@ -543,9 +539,9 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob, plan sweepPlan)
 					CPI:          rr.CPI(),
 				}
 			}
-			out[i] = sweepPointOut{Label: pr.Label, Cells: cells}
+			out[i] = SweepPoint{Label: pr.Label, Cells: cells}
 		}
-		res = &sweepJobResult{Points: out, Stats: st}
+		res = &SweepResult{Points: out, Stats: st}
 	}
 
 	job.finish(res, err)
@@ -559,7 +555,7 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob, plan sweepPlan)
 // recordSweepOutcome folds a terminal job into the metrics registry:
 // sweep_jobs_total partitions by outcome, and the point/cell/hit
 // counters aggregate the exploration volume the cache amortized.
-func (s *Server) recordSweepOutcome(job *sweepJob, st sweep.Stats) {
+func (s *Server) recordSweepOutcome(job *sweepTask, st sweep.Stats) {
 	job.mu.Lock()
 	if st.Points > 0 { // keep the planned count on cancel-before-start
 		job.points, job.cells, job.cacheHits = st.Points, st.Cells, st.CacheHits
@@ -589,7 +585,7 @@ func (s *Server) recordSweepOutcome(job *sweepJob, st sweep.Stats) {
 // without result bodies.
 func (s *Server) handleSweepList(w http.ResponseWriter, _ *http.Request) {
 	s.sweepMu.Lock()
-	out := make([]sweepJobInfo, 0, len(s.sweepOrder))
+	out := make([]SweepJob, 0, len(s.sweepOrder))
 	for _, id := range s.sweepOrder {
 		out = append(out, s.sweeps[id].info(false))
 	}

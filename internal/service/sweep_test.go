@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,64 +12,56 @@ import (
 	"time"
 )
 
-// postSweep submits a request body and returns the decoded response.
-func postSweep(t *testing.T, url string, body string) (int, sweepJobInfo) {
+// postSweep submits a raw request body and returns the status code.
+func postSweep(t *testing.T, url string, body string) int {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var info sweepJobInfo
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp.StatusCode, info
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
-// waitSweep polls a job until it reaches a terminal state.
-func waitSweep(t *testing.T, url, id string) sweepJobInfo {
+// submitSweep submits a sweep through the client.
+func submitSweep(t *testing.T, url string, req SweepRequest) SweepJob {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		code, _, body := get(t, url+"/v1/sweep/"+id)
-		if code != http.StatusOK {
-			t.Fatalf("poll %s = %d: %s", id, code, body)
-		}
-		var info sweepJobInfo
-		if err := json.Unmarshal(body, &info); err != nil {
-			t.Fatal(err)
-		}
-		if terminalSweepStatus(info.Status) {
-			return info
-		}
-		time.Sleep(10 * time.Millisecond)
+	job, err := NewClient(url).SubmitSweep(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("sweep job %s did not finish", id)
-	return sweepJobInfo{}
+	return job
 }
 
-// tinySweepBody is a 2x2 grid over sim-alpha on two microbenchmarks,
+// waitSweep polls a job through the client until it reaches a
+// terminal state.
+func waitSweep(t *testing.T, url, id string) SweepJob {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	job, err := NewClient(url).WaitSweep(ctx, id)
+	if err != nil {
+		t.Fatalf("sweep job %s: %v", id, err)
+	}
+	return job
+}
+
+// tinySweep is a 2x2 grid over sim-alpha on two microbenchmarks,
 // small enough for CI smoke use (the same shape the workflow posts).
-const tinySweepBody = `{
-	"machine": "sim-alpha",
-	"axes": [
-		{"name": "rob", "field": "ROB", "values": [80, 20]},
-		{"name": "issue", "field": "IntIssueWidth", "values": [4, 2]}
-	],
-	"workloads": ["C-Ca", "M-D"],
-	"limit": 3000
-}`
+var tinySweep = SweepRequest{
+	Machine: "sim-alpha",
+	Axes: []SweepAxis{
+		{Name: "rob", Field: "ROB", Values: []any{80, 20}},
+		{Name: "issue", Field: "IntIssueWidth", Values: []any{4, 2}},
+	},
+	Workloads: []string{"C-Ca", "M-D"},
+	Limit:     3000,
+}
 
 func TestSweepGridJob(t *testing.T) {
 	s, ts := newTestServer(t)
 
-	code, info := postSweep(t, ts.URL, tinySweepBody)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST /v1/sweep = %d", code)
-	}
+	info := submitSweep(t, ts.URL, tinySweep)
 	if info.ID == "" || info.Status == "" {
 		t.Fatalf("submit response missing id/status: %+v", info)
 	}
@@ -99,7 +92,7 @@ func TestSweepGridJob(t *testing.T) {
 
 	// A second identical submission must be answered from the shared
 	// cache: same cell values, all cells hits.
-	_, again := postSweep(t, ts.URL, tinySweepBody)
+	again := submitSweep(t, ts.URL, tinySweep)
 	rerun := waitSweep(t, ts.URL, again.ID)
 	if rerun.Status != sweepDone {
 		t.Fatalf("rerun = %q (%s)", rerun.Status, rerun.Error)
@@ -130,7 +123,7 @@ func TestSweepGridJob(t *testing.T) {
 
 	// Both jobs are listed, oldest first.
 	_, _, body = get(t, ts.URL+"/v1/sweep")
-	var jobs []sweepJobInfo
+	var jobs []SweepJob
 	if err := json.Unmarshal(body, &jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +134,13 @@ func TestSweepGridJob(t *testing.T) {
 
 func TestSweepSensitivityJob(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, info := postSweep(t, ts.URL, `{
-		"machine": "sim-alpha",
-		"axes": [{"name": "rob", "field": "ROB", "values": [80, 20]}],
-		"analysis": "sensitivity",
-		"workloads": ["E-I", "M-D"],
-		"limit": 3000
-	}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST = %d", code)
-	}
+	info := submitSweep(t, ts.URL, SweepRequest{
+		Machine:   "sim-alpha",
+		Axes:      []SweepAxis{{Name: "rob", Field: "ROB", Values: []any{80, 20}}},
+		Analysis:  "sensitivity",
+		Workloads: []string{"E-I", "M-D"},
+		Limit:     3000,
+	})
 	done := waitSweep(t, ts.URL, info.ID)
 	if done.Status != sweepDone {
 		t.Fatalf("job = %q (%s)", done.Status, done.Error)
@@ -169,15 +159,12 @@ func TestSweepCalibrationJobDefaultSpace(t *testing.T) {
 		t.Skip("calibration descent visits dozens of points")
 	}
 	_, ts := newTestServer(t)
-	code, info := postSweep(t, ts.URL, `{
-		"analysis": "calibration",
-		"workloads": ["C-Ca", "E-I", "M-D"],
-		"limit": 2000,
-		"max_rounds": 3
-	}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST = %d", code)
-	}
+	info := submitSweep(t, ts.URL, SweepRequest{
+		Analysis:  "calibration",
+		Workloads: []string{"C-Ca", "E-I", "M-D"},
+		Limit:     2000,
+		MaxRounds: 3,
+	})
 	if info.Machine != "sim-initial" {
 		t.Fatalf("default calibration machine = %q, want sim-initial", info.Machine)
 	}
@@ -200,17 +187,14 @@ func TestSweepCalibrationJobDefaultSpace(t *testing.T) {
 func TestSweepCancel(t *testing.T) {
 	_, ts := newTestServer(t)
 	// A big enough sweep that cancellation lands mid-flight.
-	code, info := postSweep(t, ts.URL, `{
-		"machine": "sim-alpha",
-		"axes": [
-			{"name": "rob", "field": "ROB", "values": [80, 70, 60, 50, 40, 30, 20, 10]},
-			{"name": "issue", "field": "IntIssueWidth", "values": [4, 3, 2, 1]}
-		],
-		"limit": 50000
-	}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST = %d", code)
-	}
+	info := submitSweep(t, ts.URL, SweepRequest{
+		Machine: "sim-alpha",
+		Axes: []SweepAxis{
+			{Name: "rob", Field: "ROB", Values: []any{80, 70, 60, 50, 40, 30, 20, 10}},
+			{Name: "issue", Field: "IntIssueWidth", Values: []any{4, 3, 2, 1}},
+		},
+		Limit: 50000,
+	})
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweep/"+info.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -252,7 +236,7 @@ func TestSweepValidationErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, _ := postSweep(t, ts.URL, tc.body)
+			code := postSweep(t, ts.URL, tc.body)
 			if code != tc.code {
 				t.Fatalf("POST %s = %d, want %d", tc.name, code, tc.code)
 			}
@@ -277,9 +261,9 @@ func TestSweepValidationErrors(t *testing.T) {
 
 func TestSweepPointBudget(t *testing.T) {
 	s := New(Config{MaxSweepPoints: 3, Parallelism: 1})
-	_, code, err := s.planSweep(sweepRequest{
+	_, code, err := s.planSweep(SweepRequest{
 		Machine: "sim-alpha",
-		Axes: []sweepAxis{
+		Axes: []SweepAxis{
 			{Name: "rob", Field: "ROB", Values: []any{80.0, 40.0}},
 			{Name: "issue", Field: "IntIssueWidth", Values: []any{4.0, 2.0}},
 		},
@@ -288,9 +272,9 @@ func TestSweepPointBudget(t *testing.T) {
 		t.Fatalf("over-budget grid = %d, %v", code, err)
 	}
 	// Random sampling inside the budget is accepted over the same space.
-	plan, code, err := s.planSweep(sweepRequest{
+	plan, code, err := s.planSweep(SweepRequest{
 		Machine: "sim-alpha",
-		Axes: []sweepAxis{
+		Axes: []SweepAxis{
 			{Name: "rob", Field: "ROB", Values: []any{80.0, 40.0}},
 			{Name: "issue", Field: "IntIssueWidth", Values: []any{4.0, 2.0}},
 		},
@@ -302,8 +286,16 @@ func TestSweepPointBudget(t *testing.T) {
 	if len(plan.pts) != 3 {
 		t.Fatalf("random planned %d points, want 3", len(plan.pts))
 	}
+	// A bare model name plans (and dispatches) under its canonical name.
+	plan, _, err = s.planSweep(SweepRequest{
+		Machine: "alpha",
+		Axes:    []SweepAxis{{Name: "rob", Field: "ROB", Values: []any{80.0, 40.0}}},
+	})
+	if err != nil || plan.req.Machine != "sim-alpha" {
+		t.Fatalf("bare-name sweep planned machine %q (%v), want sim-alpha", plan.req.Machine, err)
+	}
 	// Calibration budgets its worst case: 1 + rounds × Σ|values|.
-	_, code, err = s.planSweep(sweepRequest{Analysis: "calibration", MaxRounds: 2})
+	_, code, err = s.planSweep(SweepRequest{Analysis: "calibration", MaxRounds: 2})
 	if code != http.StatusBadRequest || err == nil {
 		t.Fatalf("over-budget calibration = %d, %v", code, err)
 	}
@@ -315,14 +307,14 @@ func TestSweepQueueBound(t *testing.T) {
 	s.sweepMu.Lock()
 	for i := 0; i < s.cfg.MaxSweepJobs*sweepQueueFactor; i++ {
 		id := fmt.Sprintf("s-%06d", i+1)
-		s.sweeps[id] = &sweepJob{id: id, status: sweepQueued, cancel: func() {}}
+		s.sweeps[id] = &sweepTask{id: id, status: sweepQueued, cancel: func() {}}
 		s.sweepOrder = append(s.sweepOrder, id)
 	}
 	s.sweepMu.Unlock()
 
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	code, _ := postSweep(t, ts.URL, `{"axes": [{"name": "rob", "field": "ROB", "values": [80, 40]}], "workloads": ["C-Ca"], "limit": 1000}`)
+	code := postSweep(t, ts.URL, `{"axes": [{"name": "rob", "field": "ROB", "values": [80, 40]}], "workloads": ["C-Ca"], "limit": 1000}`)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-bound submit = %d, want 429", code)
 	}
@@ -337,7 +329,7 @@ func TestSweepHistoryEviction(t *testing.T) {
 		if i == 0 {
 			st = sweepRunning // live jobs are never evicted
 		}
-		s.sweeps[id] = &sweepJob{id: id, status: st, cancel: func() {}}
+		s.sweeps[id] = &sweepTask{id: id, status: st, cancel: func() {}}
 		s.sweepOrder = append(s.sweepOrder, id)
 	}
 	s.evictSweepHistoryLocked()

@@ -100,11 +100,8 @@ func (s Stats) HitRate() float64 {
 // applied (a fresh slice; the originals are never mutated).
 func (e *Engine) limited() []core.Workload {
 	ws := make([]core.Workload, len(e.Workloads))
-	copy(ws, e.Workloads)
-	for i := range ws {
-		if e.Limit != 0 && (ws[i].MaxInstructions == 0 || ws[i].MaxInstructions > e.Limit) {
-			ws[i].MaxInstructions = e.Limit
-		}
+	for i, w := range e.Workloads {
+		ws[i] = w.Capped(e.Limit)
 		if e.Sample != nil {
 			ws[i].Sample = e.Sample
 		}

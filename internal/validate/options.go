@@ -25,11 +25,8 @@ func (o Options) apply(ws []core.Workload) []core.Workload {
 		return ws
 	}
 	out := make([]core.Workload, len(ws))
-	copy(out, ws)
-	for i := range out {
-		if out[i].MaxInstructions == 0 || out[i].MaxInstructions > o.Limit {
-			out[i].MaxInstructions = o.Limit
-		}
+	for i, w := range ws {
+		out[i] = w.Capped(o.Limit)
 	}
 	return out
 }
