@@ -25,7 +25,6 @@ import (
 	"log"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/microbench"
 	"repro/internal/model"
 	"repro/internal/simcache"
@@ -54,7 +53,7 @@ func main() {
 
 	// The reference: the native DS-10L measured through the DCPI
 	// profiler emulation — the machine the paper calibrated against.
-	ref, err := eng.Reference(ctx, func() core.Machine { return model.NewNative() })
+	ref, err := eng.Reference(ctx, model.DefaultNativeConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func (m *Machine) compat() string {
 		Hier   cache.HierarchyConfig
 		Tour   predict.TournamentConfig
 		Mapper string
-	}{m.cfg.Hier, m.cfg.Tour, m.cfg.NewMapper().Name()})))
+	}{m.cfg.Hier, m.cfg.Tour, m.cfg.Mapping.Policy})))
 }
 
 // RecordCheckpoints implements core.CheckpointRecorder: one

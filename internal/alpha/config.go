@@ -12,9 +12,9 @@
 package alpha
 
 import (
-	"fmt"
-
+	"repro/internal/bounds"
 	"repro/internal/cache"
+	"repro/internal/ddr"
 	"repro/internal/dram"
 	"repro/internal/predict"
 	"repro/internal/vm"
@@ -173,9 +173,12 @@ type Config struct {
 
 	Hier cache.HierarchyConfig
 	DRAM dram.Config
-	Tour predict.TournamentConfig
-	// NewMapper builds a fresh page mapper per run.
-	NewMapper func() vm.Mapper
+	// DDR, when non-zero, replaces the flat DRAM model described by
+	// DRAM with the cycle-accurate DDR subsystem (the sim-alpha-ddr
+	// backend).
+	DDR     ddr.Config
+	Tour    predict.TournamentConfig
+	Mapping vm.Mapping
 
 	// Widths and capacities.
 	FetchWidth    int // 4: one octaword
@@ -210,37 +213,57 @@ type Config struct {
 
 	// RAS capacity.
 	RASEntries int
-
-	// PipeTracer, when non-nil, receives one PipeEvent per retired
-	// instruction (see PipeTraceWriter).
-	PipeTracer PipeTracer
 }
 
+// NewMapper builds a fresh page mapper for one run.
+func (c Config) NewMapper() vm.Mapper { return c.Mapping.New() }
+
 // Check verifies the configuration is runnable, returning a
-// descriptive error for degenerate values. New panics on a bad
-// configuration, since that is a programming error.
+// descriptive error for degenerate or out-of-range values. New panics
+// on a bad configuration, since that is a programming error.
 func (c Config) Check() error {
-	switch {
-	case c.FetchWidth <= 0 || c.FetchWidth > 4:
-		return fmt.Errorf("alpha: FetchWidth %d outside [1,4] (one octaword)", c.FetchWidth)
-	case c.MapWidth <= 0:
-		return fmt.Errorf("alpha: MapWidth must be positive")
-	case c.IntIssueWidth <= 0 || c.FPIssueWidth < 0:
-		return fmt.Errorf("alpha: issue widths must be positive")
-	case c.ROB < 2*c.FetchWidth:
-		return fmt.Errorf("alpha: ROB %d too small for fetch width %d", c.ROB, c.FetchWidth)
-	case c.IntQueue <= 0 || c.FPQueue <= 0:
-		return fmt.Errorf("alpha: queue capacities must be positive")
-	case c.RenameRegs <= 0:
-		return fmt.Errorf("alpha: RenameRegs must be positive")
-	case c.RFReadCycles < 1:
-		return fmt.Errorf("alpha: RFReadCycles must be at least 1")
-	case c.RASEntries <= 0:
-		return fmt.Errorf("alpha: RASEntries must be positive")
-	case c.NewMapper == nil:
-		return fmt.Errorf("alpha: NewMapper is required")
+	if err := bounds.Check("alpha",
+		bounds.Int{Name: "FetchWidth", V: c.FetchWidth, Lo: 1, Hi: 4}, // one octaword
+		bounds.Int{Name: "MapWidth", V: c.MapWidth, Lo: 1, Hi: 16},
+		bounds.Int{Name: "IntIssueWidth", V: c.IntIssueWidth, Lo: 1, Hi: 16},
+		bounds.Int{Name: "FPIssueWidth", V: c.FPIssueWidth, Lo: 0, Hi: 16},
+		bounds.Int{Name: "RetireWidth", V: c.RetireWidth, Lo: 1, Hi: 64},
+		bounds.Int{Name: "IntQueue", V: c.IntQueue, Lo: 1, Hi: 256},
+		bounds.Int{Name: "FPQueue", V: c.FPQueue, Lo: 1, Hi: 256},
+		bounds.Int{Name: "ROB", V: c.ROB, Lo: 2 * c.FetchWidth, Hi: 1024},
+		bounds.Int{Name: "RenameRegs", V: c.RenameRegs, Lo: 1, Hi: 1024},
+		bounds.Int{Name: "MapStallFree", V: c.MapStallFree, Lo: 0, Hi: c.RenameRegs},
+		bounds.Int{Name: "MapStallLen", V: c.MapStallLen, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "QueueFreeLag", V: c.QueueFreeLag, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "BrRecovery", V: c.BrRecovery, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "JmpFlush", V: c.JmpFlush, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "SlotRedirect", V: c.SlotRedirect, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "LineMispredict", V: c.LineMispredict, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "WayMispredict", V: c.WayMispredict, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "LoadUseRecovery", V: c.LoadUseRecovery, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "TrapPenalty", V: c.TrapPenalty, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "TrapGranule", V: c.TrapGranule, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "PALOverhead", V: c.PALOverhead, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "RFReadCycles", V: c.RFReadCycles, Lo: 1, Hi: 64},
+		bounds.Int{Name: "RASEntries", V: c.RASEntries, Lo: 1, Hi: 1024},
+	); err != nil {
+		return err
 	}
-	return nil
+	if err := c.Hier.Check(); err != nil {
+		return err
+	}
+	if err := c.DRAM.Check(); err != nil {
+		return err
+	}
+	if c.DDR != (ddr.Config{}) {
+		if err := c.DDR.Check(); err != nil {
+			return err
+		}
+	}
+	if err := c.Tour.Check(); err != nil {
+		return err
+	}
+	return c.Mapping.Check()
 }
 
 // DefaultConfig returns the validated sim-alpha configuration
@@ -252,7 +275,7 @@ func DefaultConfig() Config {
 		Hier:        cache.DS10L(),
 		DRAM:        dram.DS10LConfig(),
 		Tour:        predict.DefaultTournamentConfig(),
-		NewMapper:   func() vm.Mapper { return &vm.SeqMapper{} },
+		Mapping:     vm.Mapping{Policy: "sequential"},
 
 		FetchWidth:    4,
 		MapWidth:      4,
@@ -331,7 +354,7 @@ func NativeConfig() Config {
 	cfg.Hier.SharedMAF = true
 	cfg.TrapGranule = 32
 	colors := uint64(cfg.Hier.L2.SizeBytes / cfg.Hier.L2.Assoc / vm.PageSize)
-	cfg.NewMapper = func() vm.Mapper { return &vm.ColorMapper{Colors: colors} }
+	cfg.Mapping = vm.Mapping{Policy: "page-colored", Colors: colors}
 	// The tuned C/D-chip controller overlaps transfers with the next
 	// activation and spreads load over more banks: dependent chases
 	// (the calibration workloads) see almost the same latency, but

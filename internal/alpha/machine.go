@@ -7,7 +7,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
+	"repro/internal/ddr"
 	"repro/internal/events"
 	"repro/internal/isa"
 	"repro/internal/predict"
@@ -17,40 +17,24 @@ import (
 // implements core.Machine; each Run constructs fresh pipeline state.
 type Machine struct {
 	cfg Config
-	// newMem, when set, builds the main-memory backend under the L2
-	// instead of the flat SDRAM model described by cfg.DRAM. It lives
-	// outside Config so the pinned configuration fingerprints (and
-	// every golden built on them) stay byte-identical: a machine with
-	// a non-default memory backend is identified by a wrapper config
-	// at the registry layer (model.AlphaDDRConfig), never by this field.
-	newMem func() cache.Memory
+	// tracer, when non-nil, receives one PipeEvent per retired
+	// instruction. It observes runs without changing them, so it is
+	// not part of the configuration.
+	tracer PipeTracer
 }
 
 // New returns a machine for the configuration. It panics on a
 // degenerate configuration (see Config.Check), which is a programming
 // error rather than a runtime condition.
-func New(cfg Config) *Machine {
+func New(cfg Config) *Machine { return NewTraced(cfg, nil) }
+
+// NewTraced returns a machine that reports every retired instruction
+// to t (see PipeTraceWriter); a nil t traces nothing.
+func NewTraced(cfg Config, t PipeTracer) *Machine {
 	if err := cfg.Check(); err != nil {
 		panic(err)
 	}
-	return &Machine{cfg: cfg}
-}
-
-// NewWithMemory returns a machine whose hierarchy sits on the memory
-// backend the factory builds (one fresh instance per Run or
-// checkpoint pass) instead of the flat SDRAM model from cfg.DRAM.
-func NewWithMemory(cfg Config, newMem func() cache.Memory) *Machine {
-	m := New(cfg)
-	m.newMem = newMem
-	return m
-}
-
-// memory builds the machine's main-memory backend.
-func (m *Machine) memory() cache.Memory {
-	if m.newMem != nil {
-		return m.newMem()
-	}
-	return dram.New(m.cfg.DRAM)
+	return &Machine{cfg: cfg, tracer: t}
 }
 
 // Name implements core.Machine.
@@ -72,7 +56,7 @@ func (m *Machine) spec() core.Spec {
 		Family:  checkpoint.ModelAlpha,
 		Events:  events.ModelAlpha,
 		Compat:  m.compat,
-		New:     func() core.Kernel { return newSim(m.cfg, m.memory()) },
+		New:     func() core.Kernel { return newSim(m.cfg, m.tracer) },
 	}
 }
 
@@ -124,9 +108,10 @@ type entry struct {
 
 // sim is the per-run pipeline state.
 type sim struct {
-	cfg  Config
-	src  cpu.Source
-	hier *cache.Hierarchy
+	cfg    Config
+	tracer PipeTracer
+	src    cpu.Source
+	hier   *cache.Hierarchy
 
 	tour *predict.Tournament
 	line *predict.Line
@@ -214,7 +199,7 @@ type sim struct {
 	pktPrev            cpu.Record
 }
 
-func newSim(cfg Config, mem cache.Memory) *sim {
+func newSim(cfg Config, tracer PipeTracer) *sim {
 	// A deeper register file lengthens the pipeline: every recovery
 	// that refills the front end pays the extra read stages.
 	if d := cfg.RFReadCycles - 1; d > 0 {
@@ -222,9 +207,10 @@ func newSim(cfg Config, mem cache.Memory) *sim {
 		cfg.JmpFlush += d
 		cfg.LoadUseRecovery += d
 	}
-	hier := cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem)
+	hier := cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), ddr.NewOrFlat(cfg.DDR, cfg.DRAM))
 	return &sim{
 		cfg:       cfg,
+		tracer:    tracer,
 		hier:      hier,
 		tour:      predict.NewTournament(cfg.Tour),
 		line:      predict.NewLine(cfg.Hier.L1I.SizeBytes / 16),

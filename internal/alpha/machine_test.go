@@ -6,6 +6,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/vm"
 )
 
 // loopProg builds a program whose loop body is emitted by body and
@@ -337,7 +338,16 @@ func TestConfigCheck(t *testing.T) {
 		func(c *Config) { c.RenameRegs = 0 },
 		func(c *Config) { c.RFReadCycles = 0 },
 		func(c *Config) { c.RASEntries = 0 },
-		func(c *Config) { c.NewMapper = nil },
+		func(c *Config) { c.Mapping = vm.Mapping{} },
+		func(c *Config) { c.Mapping = vm.Mapping{Policy: "page-colored"} },
+		func(c *Config) { c.ROB = 1 << 36 },
+		func(c *Config) { c.RASEntries = 1 << 30 },
+		func(c *Config) { c.WayMispredict = -1 },
+		func(c *Config) { c.Tour.GlobalHistBits = 40 },
+		func(c *Config) { c.Hier.L2.SizeBytes = 3 << 20 },
+		func(c *Config) { c.Hier.DTLBEntries = 0 },
+		func(c *Config) { c.DRAM.Banks = 1 << 40 },
+		func(c *Config) { c.DDR.TCL = 4 }, // a partial DDR config fails ddr's Check
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

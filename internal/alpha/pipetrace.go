@@ -20,9 +20,9 @@ type PipeEvent struct {
 	Dropped  bool // unop removed at map (never issued)
 }
 
-// PipeTracer receives one event per retired instruction. Attach one
-// to a Config to observe pipeline behavior (the equivalent of
-// sim-outorder's ptrace facility).
+// PipeTracer receives one event per retired instruction. Build a
+// machine with NewTraced to observe pipeline behavior (the equivalent
+// of sim-outorder's ptrace facility).
 type PipeTracer interface {
 	Retire(PipeEvent)
 }
@@ -52,12 +52,12 @@ type PipeEventCollector struct {
 // Retire implements PipeTracer.
 func (c *PipeEventCollector) Retire(e PipeEvent) { c.Events = append(c.Events, e) }
 
-// emitPipeEvent reports a retiring entry to the configured tracer.
+// emitPipeEvent reports a retiring entry to the machine's tracer.
 func (s *sim) emitPipeEvent(e *entry) {
-	if s.cfg.PipeTracer == nil {
+	if s.tracer == nil {
 		return
 	}
-	s.cfg.PipeTracer.Retire(PipeEvent{
+	s.tracer.Retire(PipeEvent{
 		Seq:      e.inum - 1,
 		PC:       e.rec.PC,
 		Disasm:   e.rec.Inst.String(),

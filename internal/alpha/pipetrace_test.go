@@ -2,6 +2,7 @@ package alpha
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,13 +17,20 @@ func TestPipeTraceInvariants(t *testing.T) {
 		b.Unop(1)
 	})
 	var col PipeEventCollector
-	cfg := DefaultConfig()
-	cfg.PipeTracer = &col
-	if _, err := New(cfg).Run(w); err != nil {
+	traced, err := NewTraced(DefaultConfig(), &col).Run(w)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(col.Events) == 0 {
 		t.Fatal("no pipe events collected")
+	}
+	// Tracing observes a run without changing it.
+	plain, err := New(DefaultConfig()).Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(traced, plain) {
+		t.Errorf("traced run differs from an untraced one:\n  %+v\nvs\n  %+v", traced, plain)
 	}
 	var lastRetire uint64
 	var lastSeq uint64
@@ -70,9 +78,7 @@ func TestPipeTraceTextFormat(t *testing.T) {
 		b.OpI(isa.OpAddq, isa.T0, 1, isa.T0)
 	})
 	var buf bytes.Buffer
-	cfg := DefaultConfig()
-	cfg.PipeTracer = PipeTraceWriter(&buf)
-	if _, err := New(cfg).Run(w); err != nil {
+	if _, err := NewTraced(DefaultConfig(), PipeTraceWriter(&buf)).Run(w); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

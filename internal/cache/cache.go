@@ -5,6 +5,12 @@
 // TLBs, accounting for bus contention between levels.
 package cache
 
+import (
+	"fmt"
+
+	"repro/internal/bounds"
+)
+
 // Config describes one cache array.
 type Config struct {
 	Name       string
@@ -16,6 +22,27 @@ type Config struct {
 
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / (c.BlockBytes * c.Assoc) }
+
+// maxCacheBytes bounds one cache array (64 MB, 32× the DS-10L's L2).
+const maxCacheBytes = 64 << 20
+
+// Check validates the geometry: blocks and the set count are powers
+// of two (Block and Set mask by them) and every size is bounded.
+func (c Config) Check() error {
+	if err := bounds.Check("cache",
+		bounds.Int{Name: "SizeBytes", V: c.SizeBytes, Lo: 64, Hi: maxCacheBytes},
+		bounds.Int{Name: "BlockBytes", V: c.BlockBytes, Lo: 16, Hi: 4096},
+		bounds.Int{Name: "Assoc", V: c.Assoc, Lo: 1, Hi: 64},
+		bounds.Int{Name: "HitLatency", V: c.HitLatency, Lo: 0, Hi: bounds.MaxCycles},
+	); err != nil {
+		return fmt.Errorf("%s %w", c.Name, err)
+	}
+	if !bounds.Pow2(c.BlockBytes) || c.SizeBytes%(c.BlockBytes*c.Assoc) != 0 || !bounds.Pow2(c.Sets()) {
+		return fmt.Errorf("cache %s: %d bytes of %d-byte blocks, %d-way, is not a power-of-two block size and set count",
+			c.Name, c.SizeBytes, c.BlockBytes, c.Assoc)
+	}
+	return nil
+}
 
 // Stats counts cache events.
 type Stats struct {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"repro/internal/bounds"
 	"repro/internal/events"
 	"repro/internal/mem"
 	"repro/internal/vm"
@@ -29,6 +30,24 @@ type HierarchyConfig struct {
 
 	ITLBEntries int
 	DTLBEntries int
+}
+
+// Check validates the three arrays and bounds every other field.
+func (c HierarchyConfig) Check() error {
+	for _, a := range []Config{c.L1I, c.L1D, c.L2} {
+		if err := a.Check(); err != nil {
+			return err
+		}
+	}
+	return bounds.Check("cache",
+		bounds.Int{Name: "VictimEntries", V: c.VictimEntries, Lo: 0, Hi: 64},
+		bounds.Int{Name: "VBHitLatency", V: c.VBHitLatency, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "MAFEntries", V: c.MAFEntries, Lo: 1, Hi: 64},
+		bounds.Int{Name: "L1MissOverhead", V: c.L1MissOverhead, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "L2BusBeats", V: c.L2BusBeats, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "ITLBEntries", V: c.ITLBEntries, Lo: 1, Hi: 1024},
+		bounds.Int{Name: "DTLBEntries", V: c.DTLBEntries, Lo: 1, Hi: 1024},
+	)
 }
 
 // DS10L returns the DS-10L memory system from the paper: 64KB 2-way

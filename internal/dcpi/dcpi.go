@@ -9,6 +9,7 @@
 package dcpi
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/core"
@@ -34,6 +35,16 @@ type Config struct {
 // which it found to best balance dilation against counting error.
 func DefaultConfig() Config {
 	return Config{IntervalCycles: 40000, DilationPerSample: 8, JitterPPM: 3000}
+}
+
+// Check bounds the profiler's knobs (IntervalCycles 0 measures
+// exactly).
+func (c Config) Check() error {
+	if c.IntervalCycles > 1<<32 || c.DilationPerSample > 1<<16 || c.JitterPPM > 1_000_000 {
+		return fmt.Errorf("dcpi: IntervalCycles %d (max 2^32), DilationPerSample %d (max 2^16) or JitterPPM %d (max 10^6) out of range",
+			c.IntervalCycles, c.DilationPerSample, c.JitterPPM)
+	}
+	return nil
 }
 
 // Measure transforms a true run result into what the profiler would

@@ -7,20 +7,25 @@
 // starvation cap).
 //
 // It is the high-fidelity counterpart of the flat SDRAM model in
-// internal/dram: both implement mem.Memory, so any machine in the
-// registry can opt into DDR timing through its NewWithMemory
-// constructor while the flat model stays the default (and every
-// pinned configuration fingerprint stays byte-identical). The memory
-// validate experiment quantifies what the extra fidelity buys —
-// where flat-DRAM CPI error comes from and which controller knobs
-// flip conclusions on the cheaper tiers.
+// internal/dram: both implement mem.Memory, and a machine config opts
+// into DDR timing by setting its DDR field (see NewOrFlat), so the
+// memory system is part of the config's fingerprint like any other
+// knob. The flat model stays the default: a zero DDR field means flat
+// memory. The memory validate experiment quantifies what the extra
+// fidelity buys — where flat-DRAM CPI error comes from and which
+// controller knobs flip conclusions on the cheaper tiers.
 //
 // Every Config field is a plain exported scalar, so each knob is a
 // sweep axis (internal/sweep resolves dot-separated field paths by
 // reflection and rejects unsettable fields before anything runs).
 package ddr
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/dram"
+	"repro/internal/mem"
+)
 
 // Config describes one DDR memory subsystem. All DRAM timing fields
 // are in DRAM cycles; ControllerCycles is in CPU cycles (board logic
@@ -153,4 +158,14 @@ func (c Config) Check() error {
 		return fmt.Errorf("ddr: StarveLimit %d out of range [1,64]", c.StarveLimit)
 	}
 	return nil
+}
+
+// NewOrFlat builds one run's main memory: a fresh DDR controller at
+// c, or the flat SDRAM model at flat when c is the zero Config (the
+// machine did not opt into DDR timing).
+func NewOrFlat(c Config, flat dram.Config) mem.Memory {
+	if c == (Config{}) {
+		return dram.New(flat)
+	}
+	return New(c)
 }

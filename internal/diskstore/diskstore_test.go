@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"testing"
@@ -120,7 +121,7 @@ func TestLibraryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := model.NewAlpha(model.DefaultAlphaConfig())
+	m := model.MustBuild(model.DefaultAlphaConfig())
 	w, ok := microbench.ByName("C-Ca")
 	if !ok {
 		t.Fatal("no C-Ca workload")
@@ -192,7 +193,7 @@ func TestLoadLibrarySelection(t *testing.T) {
 		t.Error("missing library loaded without error")
 	}
 
-	m := model.NewAlpha(model.DefaultAlphaConfig())
+	m := model.MustBuild(model.DefaultAlphaConfig())
 	w, _ := microbench.ByName("C-Ca")
 	w.MaxInstructions = 2000
 	plan := core.SamplePlan{Period: 1000, Warmup: 100, Measure: 50}
@@ -350,4 +351,43 @@ func TestWorkloadSpecRoundTrip(t *testing.T) {
 	if s.CorruptReads() != before+1 {
 		t.Fatalf("CorruptReads = %d, want %d", s.CorruptReads(), before+1)
 	}
+}
+
+// FuzzStoreGet writes arbitrary bytes where a keyed entry lives and
+// reads them back: Get must never panic, must return the payload only
+// when the first 32 bytes are the SHA-256 of the rest, and otherwise
+// must count a corrupt read and remove the file so a recomputed result
+// can land.
+func FuzzStoreGet(f *testing.F) {
+	k := simcache.KeyOf("fuzz")
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := s.keyPath(k)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(k)
+		valid := len(blob) >= sha256.Size
+		if valid {
+			sum := sha256.Sum256(blob[sha256.Size:])
+			valid = bytes.Equal(sum[:], blob[:sha256.Size])
+		}
+		_, statErr := os.Stat(path)
+		switch {
+		case valid && (!ok || !bytes.Equal(got, blob[sha256.Size:])):
+			t.Fatalf("valid envelope: Get = %q, %v", got, ok)
+		case valid && (s.CorruptReads() != 0 || statErr != nil):
+			t.Fatalf("valid envelope counted corrupt (%d) or removed (%v)", s.CorruptReads(), statErr)
+		case !valid && (ok || got != nil):
+			t.Fatalf("corrupt envelope served %q", got)
+		case !valid && (s.CorruptReads() != 1 || !os.IsNotExist(statErr)):
+			t.Fatalf("corrupt envelope: %d corrupt reads, file stat %v; want 1 and removed", s.CorruptReads(), statErr)
+		}
+	})
 }

@@ -11,7 +11,10 @@
 // internal/validate reruns that sweep.
 package dram
 
-import "repro/internal/mem"
+import (
+	"repro/internal/bounds"
+	"repro/internal/mem"
+)
 
 // Config describes one SDRAM subsystem. All latencies are in DRAM
 // cycles except ControllerCycles, which is in CPU cycles (it is board
@@ -33,6 +36,20 @@ type Config struct {
 	// The DS-10L's C/D-chip controller behaves this way; simulators
 	// that charge the bank for the whole transfer do not.
 	PipelinedTransfer bool
+}
+
+// Check bounds every field.
+func (c Config) Check() error {
+	return bounds.Check("dram",
+		bounds.Int{Name: "Banks", V: c.Banks, Lo: 1, Hi: 64},
+		bounds.Int{Name: "RowBytes", V: c.RowBytes, Lo: 64, Hi: 1 << 20},
+		bounds.Int{Name: "RASCycles", V: c.RASCycles, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "CASCycles", V: c.CASCycles, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "PrechargeCycles", V: c.PrechargeCycles, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "TransferCycles", V: c.TransferCycles, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "ControllerCycles", V: c.ControllerCycles, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "ClockRatio", V: c.ClockRatio, Lo: 1, Hi: 64},
+	)
 }
 
 // DS10LConfig returns the calibrated configuration from the paper:

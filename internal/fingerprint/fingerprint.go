@@ -28,14 +28,13 @@ import (
 //     content is rendered, never its address, so two pointers to
 //     equal values alias (that is the point: content addressing).
 //     Nil renders as "<nil>".
-//   - Function, channel, and unsafe-pointer values — machine configs
-//     carry factory closures such as alpha.Config.NewMapper —
-//     contribute only their static type and nil-ness. Two DIFFERENT
-//     non-nil closures of the same type therefore fingerprint
-//     identically. Callers that mutate such fields between runs must
-//     not rely on the fingerprint to tell the variants apart; this is
-//     why sweep.Space.Check rejects axes over fingerprint-opaque
-//     fields outright.
+//   - Function, channel, and unsafe-pointer values contribute only
+//     their static type and nil-ness. Two DIFFERENT non-nil closures
+//     of the same type therefore fingerprint identically, so a value
+//     whose fingerprint is its identity must not carry one: machine
+//     configs describe even their page-mapping policy as a plain
+//     value (vm.Mapping), and sweep.Space.Check rejects axes over
+//     fingerprint-opaque fields outright.
 //   - Map entries are sorted by their rendered form; slices and
 //     arrays keep element order.
 //   - Floats render in shortest 64-bit round-trip form, so equal

@@ -16,7 +16,7 @@ func (m *Machine) compat() string {
 		Hier        cache.HierarchyConfig
 		BimodalBits int
 		Mapper      string
-	}{m.cfg.Hier, m.cfg.BimodalBits, m.cfg.NewMapper().Name()})))
+	}{m.cfg.Hier, m.cfg.BimodalBits, m.cfg.Mapping.Policy})))
 }
 
 // RecordCheckpoints implements core.CheckpointRecorder.

@@ -15,6 +15,7 @@ package inorder
 import (
 	"fmt"
 
+	"repro/internal/bounds"
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -35,9 +36,9 @@ type Config struct {
 	// BimodalBits sizes the 2-bit-counter direction predictor table.
 	BimodalBits int
 
-	Hier      cache.HierarchyConfig
-	DRAM      dram.Config
-	NewMapper func() vm.Mapper
+	Hier    cache.HierarchyConfig
+	DRAM    dram.Config
+	Mapping vm.Mapping
 }
 
 // DefaultConfig returns the machine with DS-10L-like caches.
@@ -50,8 +51,25 @@ func DefaultConfig() Config {
 		BimodalBits:   11,
 		Hier:          hier,
 		DRAM:          dram.DS10LConfig(),
-		NewMapper:     func() vm.Mapper { return &vm.SeqMapper{} },
+		Mapping:       vm.Mapping{Policy: "sequential"},
 	}
+}
+
+// Check verifies every field is in range.
+func (c Config) Check() error {
+	if err := bounds.Check("inorder",
+		bounds.Int{Name: "BranchPenalty", V: c.BranchPenalty, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "BimodalBits", V: c.BimodalBits, Lo: 1, Hi: 20},
+	); err != nil {
+		return err
+	}
+	if err := c.Hier.Check(); err != nil {
+		return err
+	}
+	if err := c.DRAM.Check(); err != nil {
+		return err
+	}
+	return c.Mapping.Check()
 }
 
 // Machine implements core.Machine.
@@ -59,8 +77,14 @@ type Machine struct {
 	cfg Config
 }
 
-// New returns a machine for the configuration.
-func New(cfg Config) *Machine { return &Machine{cfg: cfg} }
+// New returns a machine for the configuration; it panics on a
+// configuration failing Check (a programming error).
+func New(cfg Config) *Machine {
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
+	return &Machine{cfg: cfg}
+}
 
 // Name implements core.Machine.
 func (m *Machine) Name() string { return m.cfg.MachineName }
@@ -80,7 +104,7 @@ func (m *Machine) spec() core.Spec {
 		New: func() core.Kernel {
 			return &kernel{
 				cfg:      m.cfg,
-				hier:     cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), dram.New(m.cfg.DRAM)),
+				hier:     cache.NewHierarchy(m.cfg.Hier, m.cfg.Mapping.New(), dram.New(m.cfg.DRAM)),
 				bimodal:  predict.NewBimodal(m.cfg.BimodalBits),
 				warmLine: 1 << 63,
 			}

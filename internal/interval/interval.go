@@ -21,8 +21,10 @@ package interval
 import (
 	"fmt"
 
+	"repro/internal/bounds"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/ddr"
 	"repro/internal/dram"
 	"repro/internal/events"
 	"repro/internal/isa"
@@ -56,9 +58,13 @@ type Config struct {
 	// measure the misprediction count.
 	BimodalBits int
 
-	Hier      cache.HierarchyConfig
-	DRAM      dram.Config
-	NewMapper func() vm.Mapper
+	Hier cache.HierarchyConfig
+	DRAM dram.Config
+	// DDR, when non-zero, replaces the flat DRAM model described by
+	// DRAM with the cycle-accurate DDR subsystem (the sim-interval-ddr
+	// backend).
+	DDR     ddr.Config
+	Mapping vm.Mapping
 }
 
 // DefaultConfig returns the estimator parameterized for the DS-10L
@@ -77,55 +83,43 @@ func DefaultConfig() Config {
 		BimodalBits:   11,
 		Hier:          hier,
 		DRAM:          dram.DS10LConfig(),
-		NewMapper:     func() vm.Mapper { return &vm.SeqMapper{} },
+		Mapping:       vm.Mapping{Policy: "sequential"},
 	}
 }
 
-// Check validates the configuration.
+// Check validates the configuration: every field in range (the
+// overlap factors are divisors, so at least 1).
 func (c Config) Check() error {
-	if c.Width < 1 {
-		return fmt.Errorf("interval: Width %d < 1", c.Width)
+	if err := bounds.Check("interval",
+		bounds.Int{Name: "Width", V: c.Width, Lo: 1, Hi: 64},
+		bounds.Int{Name: "BranchPenalty", V: c.BranchPenalty, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "L2Overlap", V: c.L2Overlap, Lo: 1, Hi: 64},
+		bounds.Int{Name: "MemOverlap", V: c.MemOverlap, Lo: 1, Hi: 64},
+		bounds.Int{Name: "BimodalBits", V: c.BimodalBits, Lo: 1, Hi: 20},
+	); err != nil {
+		return err
 	}
-	if c.BranchPenalty < 0 {
-		return fmt.Errorf("interval: negative BranchPenalty %d", c.BranchPenalty)
+	if err := c.Hier.Check(); err != nil {
+		return err
 	}
-	if c.L2Overlap < 1 || c.MemOverlap < 1 {
-		return fmt.Errorf("interval: overlap divisors must be >= 1 (L2 %d, Mem %d)",
-			c.L2Overlap, c.MemOverlap)
+	if err := c.DRAM.Check(); err != nil {
+		return err
 	}
-	if c.BimodalBits < 1 || c.BimodalBits > 24 {
-		return fmt.Errorf("interval: BimodalBits %d out of range [1,24]", c.BimodalBits)
+	if c.DDR != (ddr.Config{}) {
+		if err := c.DDR.Check(); err != nil {
+			return err
+		}
 	}
-	return nil
+	return c.Mapping.Check()
 }
 
 // Machine implements core.Machine.
 type Machine struct {
 	cfg Config
-	// newMem, when set, builds the main-memory backend instead of the
-	// flat SDRAM model from cfg.DRAM (see alpha.Machine for why this
-	// lives outside Config: pinned fingerprints must not change).
-	newMem func() cache.Memory
 }
 
 // New returns a machine for the configuration.
 func New(cfg Config) *Machine { return &Machine{cfg: cfg} }
-
-// NewWithMemory returns a machine whose hierarchy sits on the memory
-// backend the factory builds instead of the flat SDRAM from cfg.DRAM.
-func NewWithMemory(cfg Config, newMem func() cache.Memory) *Machine {
-	m := New(cfg)
-	m.newMem = newMem
-	return m
-}
-
-// memory builds the machine's main-memory backend.
-func (m *Machine) memory() cache.Memory {
-	if m.newMem != nil {
-		return m.newMem()
-	}
-	return dram.New(m.cfg.DRAM)
-}
 
 // Name implements core.Machine.
 func (m *Machine) Name() string { return m.cfg.MachineName }
@@ -152,7 +146,7 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	if err := m.cfg.Check(); err != nil {
 		return core.RunResult{}, err
 	}
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
+	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.Mapping.New(), ddr.NewOrFlat(m.cfg.DDR, m.cfg.DRAM))
 	bimodal := predict.NewBimodal(m.cfg.BimodalBits)
 	src := w.Source()
 

@@ -66,7 +66,7 @@ func TestDeterministicGeneration(t *testing.T) {
 }
 
 func TestCharacteristicSignatures(t *testing.T) {
-	m := model.NewAlpha(model.DefaultAlphaConfig())
+	m := model.MustBuild(model.DefaultAlphaConfig())
 	get := func(name string) map[string]uint64 {
 		w, _ := ByName(name)
 		res, err := m.Run(w)
@@ -103,7 +103,7 @@ func TestCharacteristicSignatures(t *testing.T) {
 		t.Logf("note: art replay traps on sim-alpha = %d", art["replay_traps"])
 	}
 	// ...but does on the coarse-granularity native machine.
-	nm := model.NewAlpha(model.NativeAlphaConfig())
+	nm := model.MustBuild(model.DefaultNativeConfig().Model)
 	w, _ := ByName("art")
 	res, err := nm.Run(w)
 	if err != nil {

@@ -86,7 +86,7 @@ func TestDynamicSizes(t *testing.T) {
 // Qualitative IPC ordering on the validated machine, mirroring the
 // relationships in Table 2.
 func TestIPCOrderingOnSimAlpha(t *testing.T) {
-	m := model.NewAlpha(model.DefaultAlphaConfig())
+	m := model.MustBuild(model.DefaultAlphaConfig())
 	ipc := map[string]float64{}
 	for _, name := range []string{"E-I", "E-D1", "E-D6", "E-DM1", "M-I", "M-D", "M-L2", "M-M", "C-S1", "C-S3"} {
 		w, _ := ByName(name)
@@ -151,7 +151,7 @@ func TestMIPCodeFootprint(t *testing.T) {
 // The M-M list stride must change DRAM row and L2 set every hop.
 func TestMMStridesBeyondL2(t *testing.T) {
 	w, _ := ByName("M-M")
-	m := model.NewAlpha(model.DefaultAlphaConfig())
+	m := model.MustBuild(model.DefaultAlphaConfig())
 	res, err := m.Run(w)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/alpha"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dcpi"
 	"repro/internal/ddr"
@@ -22,7 +21,8 @@ import (
 // fingerprint renders the underlying type's name.
 type (
 	// AlphaConfig configures the 21264-family models (sim-alpha,
-	// sim-initial, sim-stripped, and the reference's inner model).
+	// sim-initial, sim-stripped, sim-alpha-ddr, and the reference's
+	// inner model).
 	AlphaConfig = alpha.Config
 	// RUUConfig configures the SimpleScalar-style RUU model.
 	RUUConfig = ruu.Config
@@ -30,34 +30,16 @@ type (
 	InorderConfig = inorder.Config
 	// IntervalConfig configures the analytical interval estimator.
 	IntervalConfig = interval.Config
+	// NativeConfig configures the reference machine: its inner 21264
+	// model and the emulated profiler it is measured through.
+	NativeConfig = native.Config
 	// DCPIConfig configures the emulated sampling profiler that the
 	// reference machine is measured through.
 	DCPIConfig = dcpi.Config
-	// AlphaPipeTracer receives per-instruction pipeline events when
-	// set on an AlphaConfig.
-	AlphaPipeTracer = alpha.PipeTracer
 	// DDRConfig configures the cycle-accurate DDR memory subsystem a
-	// machine can opt into instead of the flat SDRAM model.
+	// machine opts into (the DDR field of AlphaConfig and
+	// IntervalConfig) instead of the flat SDRAM model.
 	DDRConfig = ddr.Config
-)
-
-// The *DDRConfig wrapper types pair a core configuration with a DDR
-// memory subsystem. They exist as distinct types (not extra fields on
-// the core configs) so the pinned fingerprints of the flat-memory
-// backends stay byte-identical: opting into DDR timing produces a new
-// configuration identity instead of mutating an existing one.
-type (
-	// AlphaDDRConfig is a 21264-family machine on the DDR subsystem.
-	AlphaDDRConfig struct {
-		Core AlphaConfig
-		DDR  DDRConfig
-	}
-	// IntervalDDRConfig is the analytical estimator on the DDR
-	// subsystem.
-	IntervalDDRConfig struct {
-		Core IntervalConfig
-		DDR  DDRConfig
-	}
 )
 
 // Canonical configurations, one per registered backend plus the alpha
@@ -74,9 +56,8 @@ func SimInitialConfig() AlphaConfig { return alpha.SimInitial() }
 // and clock-rate constraints removed.
 func SimStrippedConfig() AlphaConfig { return alpha.SimStripped() }
 
-// NativeAlphaConfig returns the reference machine's inner model
-// configuration (the DS-10L stand-in before profiler distortion).
-func NativeAlphaConfig() AlphaConfig { return alpha.NativeConfig() }
+// DefaultNativeConfig returns the reference machine's configuration.
+func DefaultNativeConfig() NativeConfig { return native.DefaultConfig() }
 
 // DefaultRUUConfig returns sim-outorder's configuration.
 func DefaultRUUConfig() RUUConfig { return ruu.DefaultConfig() }
@@ -98,18 +79,20 @@ func DefaultDDRConfig() DDRConfig { return ddr.DS10LDDR() }
 
 // SimAlphaDDRConfig returns the validated 21264 model on the DDR
 // subsystem (the sim-alpha-ddr backend).
-func SimAlphaDDRConfig() AlphaDDRConfig {
+func SimAlphaDDRConfig() AlphaConfig {
 	c := alpha.DefaultConfig()
 	c.MachineName = "sim-alpha-ddr"
-	return AlphaDDRConfig{Core: c, DDR: ddr.DS10LDDR()}
+	c.DDR = ddr.DS10LDDR()
+	return c
 }
 
 // SimIntervalDDRConfig returns the analytical estimator on the DDR
 // subsystem (the sim-interval-ddr backend).
-func SimIntervalDDRConfig() IntervalDDRConfig {
+func SimIntervalDDRConfig() IntervalConfig {
 	c := interval.DefaultConfig()
 	c.MachineName = "sim-interval-ddr"
-	return IntervalDDRConfig{Core: c, DDR: ddr.DS10LDDR()}
+	c.DDR = ddr.DS10LDDR()
+	return c
 }
 
 // AlphaFeatures lists the ten removable 21264 features of Tables 4
@@ -120,31 +103,18 @@ func AlphaFeatures() []string {
 	return out
 }
 
-// AlphaPipeTraceWriter returns a tracer writing one text line per
-// retired instruction to w (SimpleScalar ptrace's counterpart).
-func AlphaPipeTraceWriter(w io.Writer) AlphaPipeTracer {
-	return alpha.PipeTraceWriter(w)
+// TraceAlpha builds a 21264-family machine at cfg that writes one
+// text line per retired instruction to w (SimpleScalar ptrace's
+// counterpart). The trace observes the run, so it is not part of cfg.
+// Like MustBuild, it panics on a config failing Check.
+func TraceAlpha(cfg AlphaConfig, w io.Writer) core.Machine {
+	return alpha.NewTraced(cfg, alpha.PipeTraceWriter(w))
 }
-
-// Per-family constructors, for consumers that build machines at swept
-// or mutated configurations rather than the registered defaults.
-
-// NewAlpha builds a 21264-family machine at cfg.
-func NewAlpha(cfg AlphaConfig) core.Machine { return alpha.New(cfg) }
-
-// NewRUU builds an RUU machine at cfg.
-func NewRUU(cfg RUUConfig) core.Machine { return ruu.New(cfg) }
-
-// NewInorder builds an in-order machine at cfg.
-func NewInorder(cfg InorderConfig) core.Machine { return inorder.New(cfg) }
-
-// NewInterval builds an interval estimator at cfg.
-func NewInterval(cfg IntervalConfig) core.Machine { return interval.New(cfg) }
 
 // NewNative builds the reference machine. The concrete type is
 // returned because the sampled-simulation experiments need its
 // RunExact method (the inner model without profiler distortion).
-func NewNative() *native.Machine { return native.New() }
+func NewNative() *native.Machine { return native.New(native.DefaultConfig()) }
 
 // MeasureDCPI distorts an exact run result the way the emulated
 // profiler would measure it.
@@ -152,60 +122,48 @@ func MeasureDCPI(cfg DCPIConfig, r core.RunResult) core.RunResult {
 	return dcpi.Measure(cfg, r)
 }
 
-// Build turns a configuration value into a machine: the registry's
-// counterpart for swept configurations, where the config — not a
-// backend name — identifies the machine. Unknown configuration types
-// return an error wrapping ErrUnknownBackend.
+// Build turns a configuration value into a machine. It is the one
+// constructor: a registered backend is its Config, and a swept or
+// mutated config builds the same way. The config is validated first,
+// so a degenerate value is an error, never a panic; a config type no
+// backend owns returns an error wrapping ErrUnknownBackend.
 func Build(cfg any) (core.Machine, error) {
+	var err error
 	switch c := cfg.(type) {
 	case AlphaConfig:
-		if err := c.Check(); err != nil {
-			return nil, err
+		if err = c.Check(); err == nil {
+			return alpha.New(c), nil
 		}
-		return alpha.New(c), nil
 	case RUUConfig:
-		if err := c.Check(); err != nil {
-			return nil, err
+		if err = c.Check(); err == nil {
+			return ruu.New(c), nil
 		}
-		return ruu.New(c), nil
 	case InorderConfig:
-		return inorder.New(c), nil
+		if err = c.Check(); err == nil {
+			return inorder.New(c), nil
+		}
 	case IntervalConfig:
-		if err := c.Check(); err != nil {
-			return nil, err
+		if err = c.Check(); err == nil {
+			return interval.New(c), nil
 		}
-		return interval.New(c), nil
-	case AlphaDDRConfig:
-		if err := c.Core.Check(); err != nil {
-			return nil, err
+	case NativeConfig:
+		if err = c.Check(); err == nil {
+			return native.New(c), nil
 		}
-		if err := c.DDR.Check(); err != nil {
-			return nil, err
-		}
-		return alpha.NewWithMemory(c.Core, newDDR(c.DDR)), nil
-	case IntervalDDRConfig:
-		if err := c.Core.Check(); err != nil {
-			return nil, err
-		}
-		if err := c.DDR.Check(); err != nil {
-			return nil, err
-		}
-		return interval.NewWithMemory(c.Core, newDDR(c.DDR)), nil
+	default:
+		err = fmt.Errorf("%w: no builder for config type %T", ErrUnknownBackend, cfg)
 	}
-	return nil, fmt.Errorf("%w: no builder for config type %T", ErrUnknownBackend, cfg)
+	return nil, err
 }
 
-// newDDR is the memory-backend factory handed to NewWithMemory: each
-// machine run gets a fresh controller at the given configuration.
-func newDDR(cfg DDRConfig) func() cache.Memory {
-	return func() cache.Memory { return ddr.New(cfg) }
-}
-
-// nativeIdentity content-addresses the reference machine: its inner
-// model configuration plus the profiler distorting the measurement.
-type nativeIdentity struct {
-	Model AlphaConfig
-	Prof  DCPIConfig
+// MustBuild builds a config the caller knows is valid; it panics
+// otherwise. For experiment tables and tests.
+func MustBuild(cfg any) core.Machine {
+	m, err := Build(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func init() {
@@ -213,69 +171,54 @@ func init() {
 		Name:        "native-ds10l",
 		Description: "reference DS-10L measured through the DCPI profiler emulation",
 		Tier:        TierDetailed,
-		Config:      nativeIdentity{Model: alpha.NativeConfig(), Prof: dcpi.DefaultConfig()},
-		New:         func() core.Machine { return native.New() },
+		Config:      native.DefaultConfig(),
 	})
 	Register(Descriptor{
 		Name:        "sim-initial",
 		Description: "unvalidated first simulator version (full bug catalogue)",
 		Tier:        TierDetailed,
 		Config:      alpha.SimInitial(),
-		New:         func() core.Machine { return alpha.New(alpha.SimInitial()) },
 	})
 	Register(Descriptor{
 		Name:        "sim-alpha",
 		Description: "validated 21264 model (the paper's calibrated simulator)",
 		Tier:        TierDetailed,
 		Config:      alpha.DefaultConfig(),
-		New:         func() core.Machine { return alpha.New(alpha.DefaultConfig()) },
 	})
 	Register(Descriptor{
 		Name:        "sim-stripped",
 		Description: "sim-alpha with the Section 5.1 features and constraints removed",
 		Tier:        TierDetailed,
 		Config:      alpha.SimStripped(),
-		New:         func() core.Machine { return alpha.New(alpha.SimStripped()) },
 	})
 	Register(Descriptor{
 		Name:        "sim-outorder",
 		Description: "SimpleScalar-style RUU/LSQ out-of-order model",
 		Tier:        TierSimplified,
 		Config:      ruu.DefaultConfig(),
-		New:         func() core.Machine { return ruu.New(ruu.DefaultConfig()) },
 	})
 	Register(Descriptor{
 		Name:        "sim-inorder",
 		Description: "in-order pipeline with DS-10L-like caches",
 		Tier:        TierSimplified,
 		Config:      inorder.DefaultConfig(),
-		New:         func() core.Machine { return inorder.New(inorder.DefaultConfig()) },
 	})
 	Register(Descriptor{
 		Name:        "sim-interval",
 		Description: "analytical interval-model estimator priced from measured events",
 		Tier:        TierAnalytical,
 		Config:      interval.DefaultConfig(),
-		New:         func() core.Machine { return interval.New(interval.DefaultConfig()) },
 	})
 	Register(Descriptor{
 		Name:        "sim-alpha-ddr",
 		Description: "validated 21264 model on the cycle-accurate DDR memory subsystem",
 		Tier:        TierDetailed,
 		Config:      SimAlphaDDRConfig(),
-		New: func() core.Machine {
-			c := SimAlphaDDRConfig()
-			return alpha.NewWithMemory(c.Core, newDDR(c.DDR))
-		},
 	})
 	Register(Descriptor{
 		Name:        "sim-interval-ddr",
 		Description: "analytical interval estimator on the cycle-accurate DDR memory subsystem",
 		Tier:        TierAnalytical,
 		Config:      SimIntervalDDRConfig(),
-		New: func() core.Machine {
-			c := SimIntervalDDRConfig()
-			return interval.NewWithMemory(c.Core, newDDR(c.DDR))
-		},
 	})
 }

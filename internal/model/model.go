@@ -1,15 +1,17 @@
 // Package model is the central backend registry: the single place
-// that knows every timing model in the repository by name. Each
-// backend registers a typed Descriptor — constructor, content-
-// addressable configuration, fidelity tier, and a one-line
-// description — and every consumer (the library facade, the service,
-// the sweep engine, the validation experiments, the command-line
-// tools) resolves machines through it. No layer above this package
-// imports a concrete model package; the layering is enforced by a CI
-// grep.
+// that knows every timing model in the repository by name. A machine
+// is its configuration value — a plain, comparable struct whose
+// fingerprint is its cache identity — and Build is the one
+// constructor that turns a config into a machine. Each backend
+// registers a typed Descriptor (name, canonical configuration,
+// fidelity tier, one-line description), and every consumer (the
+// library facade, the service, the sweep engine, the validation
+// experiments, the command-line tools) resolves machines through it.
+// No layer above this package imports a concrete model package; the
+// layering is enforced by a CI grep.
 //
 // Capability flags are not declared — they are *discovered*, by
-// interface assertion against a freshly constructed machine
+// interface assertion against a freshly built machine
 // (core.CheckpointRecorder, core.SampleCapable, core.StackCapable).
 // A backend cannot claim a capability its type does not implement,
 // and a new capability interface extends every descriptor at once.
@@ -62,9 +64,13 @@ type Capabilities struct {
 	CPIStack bool `json:"cpi_stack"`
 }
 
-// Descriptor registers one backend. Config content-addresses the
-// machine for result caching — it must be comparable structured data
-// whose fingerprint changes whenever timing-relevant behavior does.
+// Descriptor registers one backend. Its Config is the machine:
+// Build(Config) constructs it, and the config's fingerprint
+// content-addresses its results, so Config must be comparable
+// structured data whose every field is observable — no closures or
+// interfaces — and whose fingerprint changes whenever timing-relevant
+// behavior does. Adding a backend means adding its config type to
+// Build and registering a Descriptor.
 type Descriptor struct {
 	// Name is the registry key ("sim-alpha", "native-ds10l", ...).
 	Name string
@@ -75,14 +81,12 @@ type Descriptor struct {
 	// Config is the canonical configuration value (fingerprinted by
 	// consumers; never mutated).
 	Config any
-	// New constructs a fresh machine at the canonical configuration.
-	New func() core.Machine
 }
 
 // Capabilities discovers the backend's capability flags by asserting
 // the relevant interfaces against a fresh machine.
 func (d Descriptor) Capabilities() Capabilities {
-	m := d.New()
+	m := MustBuild(d.Config)
 	_, ckpt := m.(core.CheckpointRecorder)
 	_, smpl := m.(core.SampleCapable)
 	_, stack := m.(core.StackCapable)
@@ -98,8 +102,8 @@ var (
 )
 
 // Register adds a backend. It panics on an empty or duplicate name,
-// an invalid tier, or a nil constructor — registration errors are
-// programming errors, caught by the package's own tests.
+// an invalid tier, or a Config that Build rejects — registration
+// errors are programming errors, caught by the package's own tests.
 func Register(d Descriptor) {
 	if d.Name == "" {
 		panic("model: Register with empty name")
@@ -110,8 +114,8 @@ func Register(d Descriptor) {
 	if !d.Tier.valid() {
 		panic(fmt.Sprintf("model: backend %q has invalid tier %q", d.Name, d.Tier))
 	}
-	if d.New == nil {
-		panic(fmt.Sprintf("model: backend %q has nil constructor", d.Name))
+	if _, err := Build(d.Config); err != nil {
+		panic(fmt.Sprintf("model: backend %q does not build: %v", d.Name, err))
 	}
 	byName[d.Name] = len(registry)
 	registry = append(registry, d)
@@ -140,13 +144,14 @@ func ByName(name string) (Descriptor, error) {
 	return Descriptor{}, fmt.Errorf("%w: %q (have %s)", ErrUnknownBackend, name, names())
 }
 
-// New constructs a fresh machine for a backend name.
+// New constructs a fresh machine for a backend name: Build of its
+// registered Config.
 func New(name string) (core.Machine, error) {
 	d, err := ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return d.New(), nil
+	return Build(d.Config)
 }
 
 // MustNew constructs a machine for a name the caller knows is

@@ -2,10 +2,12 @@ package model
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fingerprint"
 )
 
 func TestRegistryContents(t *testing.T) {
@@ -45,7 +47,7 @@ func TestRegistryContents(t *testing.T) {
 
 func TestNamesMatchMachines(t *testing.T) {
 	for _, d := range Backends() {
-		if got := d.New().Name(); got != d.Name {
+		if got := MustBuild(d.Config).Name(); got != d.Name {
 			t.Errorf("descriptor %q constructs machine named %q", d.Name, got)
 		}
 	}
@@ -56,7 +58,7 @@ func TestNamesMatchMachines(t *testing.T) {
 // registry must never diverge from what the types implement.
 func TestCapabilitiesMatchAssertions(t *testing.T) {
 	for _, d := range Backends() {
-		m := d.New()
+		m := MustBuild(d.Config)
 		_, ckpt := m.(core.CheckpointRecorder)
 		_, smpl := m.(core.SampleCapable)
 		_, stack := m.(core.StackCapable)
@@ -124,11 +126,14 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		Register(d)
 	}
-	mk := func() core.Machine { return MustNew("sim-alpha") }
-	expectPanic("empty name", Descriptor{Tier: TierDetailed, New: mk})
-	expectPanic("duplicate", Descriptor{Name: "sim-alpha", Tier: TierDetailed, New: mk})
-	expectPanic("bad tier", Descriptor{Name: "sim-x", Tier: Tier("exact"), New: mk})
-	expectPanic("nil constructor", Descriptor{Name: "sim-y", Tier: TierDetailed})
+	cfg := DefaultAlphaConfig()
+	expectPanic("empty name", Descriptor{Tier: TierDetailed, Config: cfg})
+	expectPanic("duplicate", Descriptor{Name: "sim-alpha", Tier: TierDetailed, Config: cfg})
+	expectPanic("bad tier", Descriptor{Name: "sim-x", Tier: Tier("exact"), Config: cfg})
+	expectPanic("nil config", Descriptor{Name: "sim-y", Tier: TierDetailed})
+	bad := cfg
+	bad.ROB = 0
+	expectPanic("config failing Check", Descriptor{Name: "sim-z", Tier: TierDetailed, Config: bad})
 }
 
 func TestBuild(t *testing.T) {
@@ -140,6 +145,7 @@ func TestBuild(t *testing.T) {
 		DefaultIntervalConfig(),
 		SimAlphaDDRConfig(),
 		SimIntervalDDRConfig(),
+		DefaultNativeConfig(),
 	} {
 		m, err := Build(cfg)
 		if err != nil {
@@ -162,15 +168,54 @@ func TestBuild(t *testing.T) {
 	if _, err := Build(badDDR); err == nil {
 		t.Error("Build accepted a DDR config failing Check")
 	}
+	badMap := DefaultRUUConfig()
+	badMap.Mapping.Policy = "page-colored" // Colors 0: Check fails, no panic
+	if _, err := Build(badMap); err == nil {
+		t.Error("Build accepted a page-colored mapping with no colors")
+	}
+	badNative := DefaultNativeConfig()
+	badNative.Prof.JitterPPM = 1 << 40
+	if _, err := Build(badNative); err == nil {
+		t.Error("Build accepted a native config failing Check")
+	}
+	badInorder := DefaultInorderConfig()
+	badInorder.BimodalBits = -1
+	if _, err := Build(badInorder); err == nil {
+		t.Error("Build accepted an inorder config failing Check")
+	}
 }
 
 func TestRegisteredConfigsBuild(t *testing.T) {
 	for _, d := range Backends() {
-		if d.Name == "native-ds10l" {
-			continue // composite identity, constructed only via New
-		}
 		if _, err := Build(d.Config); err != nil {
 			t.Errorf("%s: registered config does not Build: %v", d.Name, err)
+		}
+	}
+}
+
+// TestNewIsBuildOfConfig checks that a backend's name and its config
+// value denote the same machine: New(name) is Build(d.Config).
+func TestNewIsBuildOfConfig(t *testing.T) {
+	for _, d := range Backends() {
+		byName, err := New(d.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if byCfg := MustBuild(d.Config); !reflect.DeepEqual(byName, byCfg) {
+			t.Errorf("%s: New(name) and Build(Config) build different machines:\n  %#v\nvs\n  %#v",
+				d.Name, byName, byCfg)
+		}
+	}
+}
+
+// TestConfigsFullyObservable checks that every registered config
+// fingerprints by content alone: no field renders as an opaque func,
+// channel or pointer, so two machines that behave differently can
+// never share a cache key through a field the fingerprint cannot see.
+func TestConfigsFullyObservable(t *testing.T) {
+	for _, d := range Backends() {
+		if fp := fingerprint.Of(d.Config); strings.Contains(fp, "<opaque") {
+			t.Errorf("%s: config fingerprint has an opaque field: %s", d.Name, fp)
 		}
 	}
 }

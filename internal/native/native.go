@@ -14,29 +14,44 @@ import (
 	"repro/internal/dcpi"
 )
 
+// Config identifies the reference machine: its inner 21264 model and
+// the profiler that measures it.
+type Config struct {
+	Model alpha.Config
+	Prof  dcpi.Config
+}
+
+// DefaultConfig returns the DS-10L stand-in measured at the paper's
+// DCPI operating point (40K-cycle sampling).
+func DefaultConfig() Config {
+	return Config{Model: alpha.NativeConfig(), Prof: dcpi.DefaultConfig()}
+}
+
+// Check validates both halves of the configuration.
+func (c Config) Check() error {
+	if err := c.Model.Check(); err != nil {
+		return err
+	}
+	return c.Prof.Check()
+}
+
 // Machine is the simulated DS-10L. It implements core.Machine.
 type Machine struct {
 	inner *alpha.Machine
 	prof  dcpi.Config
 }
 
-// New returns the reference machine with the paper's DCPI operating
-// point (40K-cycle sampling).
-func New() *Machine {
-	return &Machine{
-		inner: alpha.New(alpha.NativeConfig()),
-		prof:  dcpi.DefaultConfig(),
+// New returns the reference machine at cfg. It panics on a
+// configuration failing Check (a programming error).
+func New(cfg Config) *Machine {
+	if err := cfg.Check(); err != nil {
+		panic(err)
 	}
-}
-
-// NewWithProfiler returns a reference machine measured at a custom
-// sampling configuration (for the sampling-interval trade-off study).
-func NewWithProfiler(prof dcpi.Config) *Machine {
-	return &Machine{inner: alpha.New(alpha.NativeConfig()), prof: prof}
+	return &Machine{inner: alpha.New(cfg.Model), prof: cfg.Prof}
 }
 
 // Name implements core.Machine.
-func (m *Machine) Name() string { return "native-ds10l" }
+func (m *Machine) Name() string { return m.inner.Name() }
 
 // Run implements core.Machine: it executes the workload on the
 // full-fidelity model and passes the result through the emulated

@@ -9,7 +9,7 @@ import (
 )
 
 func TestNameAndMeasurement(t *testing.T) {
-	m := New()
+	m := New(DefaultConfig())
 	if m.Name() != "native-ds10l" {
 		t.Errorf("name = %s", m.Name())
 	}
@@ -41,7 +41,7 @@ func TestNativeDiffersFromSimAlpha(t *testing.T) {
 	// The reference machine and the validated simulator must disagree
 	// on memory-intensive work (the paper's residual macro error) but
 	// agree closely on cache-resident kernels.
-	nat := New()
+	nat := New(DefaultConfig())
 	sim := alpha.New(alpha.DefaultConfig())
 	mm, _ := microbench.ByName("M-M")
 	nr, err := nat.RunExact(mm)
@@ -67,8 +67,8 @@ func TestNativeDiffersFromSimAlpha(t *testing.T) {
 
 func TestCustomProfilerInterval(t *testing.T) {
 	w, _ := microbench.ByName("E-D1")
-	coarse := NewWithProfiler(dcpi.Config{IntervalCycles: 64000, DilationPerSample: 8, JitterPPM: 3000})
-	fine := NewWithProfiler(dcpi.Config{IntervalCycles: 1000, DilationPerSample: 8, JitterPPM: 3000})
+	coarse := New(Config{Model: alpha.NativeConfig(), Prof: dcpi.Config{IntervalCycles: 64000, DilationPerSample: 8, JitterPPM: 3000}})
+	fine := New(Config{Model: alpha.NativeConfig(), Prof: dcpi.Config{IntervalCycles: 1000, DilationPerSample: 8, JitterPPM: 3000}})
 	cr, err := coarse.Run(w)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,12 @@
 // ablates (the "spec" feature in Tables 4 and 5).
 package predict
 
+import (
+	"fmt"
+
+	"repro/internal/bounds"
+)
+
 // SatCounter is an n-bit saturating counter. The zero value is a
 // counter of width 0; use NewSatCounter.
 type SatCounter struct {
@@ -90,6 +96,27 @@ type TournamentConfig struct {
 	GlobalCtrBits  int // bits per global counter (21264: 2)
 	ChoiceEntries  int // choice table entries (21264: 4096)
 	ChoiceCtrBits  int // bits per choice counter (21264: 2)
+}
+
+// Check bounds the geometry: table sizes are powers of two (the
+// index masks by them) and histories fit the 32-bit registers.
+func (c TournamentConfig) Check() error {
+	if err := bounds.Check("predict",
+		bounds.Int{Name: "LocalEntries", V: c.LocalEntries, Lo: 1, Hi: 1 << 16},
+		bounds.Int{Name: "LocalHistBits", V: c.LocalHistBits, Lo: 1, Hi: 16},
+		bounds.Int{Name: "LocalCtrBits", V: c.LocalCtrBits, Lo: 1, Hi: 8},
+		bounds.Int{Name: "GlobalHistBits", V: c.GlobalHistBits, Lo: 1, Hi: 16},
+		bounds.Int{Name: "GlobalCtrBits", V: c.GlobalCtrBits, Lo: 1, Hi: 8},
+		bounds.Int{Name: "ChoiceEntries", V: c.ChoiceEntries, Lo: 1, Hi: 1 << 16},
+		bounds.Int{Name: "ChoiceCtrBits", V: c.ChoiceCtrBits, Lo: 1, Hi: 8},
+	); err != nil {
+		return err
+	}
+	if !bounds.Pow2(c.LocalEntries) || !bounds.Pow2(c.ChoiceEntries) {
+		return fmt.Errorf("predict: LocalEntries %d and ChoiceEntries %d must be powers of two",
+			c.LocalEntries, c.ChoiceEntries)
+	}
+	return nil
 }
 
 // DefaultTournamentConfig returns the 21264 predictor geometry.

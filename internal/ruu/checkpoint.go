@@ -16,7 +16,7 @@ func (m *Machine) compat() string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier   cache.HierarchyConfig
 		Mapper string
-	}{m.cfg.Hier, m.cfg.NewMapper().Name()})))
+	}{m.cfg.Hier, m.cfg.Mapping.Policy})))
 }
 
 // RecordCheckpoints implements core.CheckpointRecorder: a functional

@@ -15,6 +15,7 @@ package ruu
 import (
 	"fmt"
 
+	"repro/internal/bounds"
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -57,9 +58,9 @@ type Config struct {
 	BTBAssoc   int
 	RASEntries int
 
-	Hier      cache.HierarchyConfig
-	DRAM      dram.Config
-	NewMapper func() vm.Mapper
+	Hier    cache.HierarchyConfig
+	DRAM    dram.Config
+	Mapping vm.Mapping
 }
 
 // DefaultConfig returns sim-outorder configured as in Section 5.1: a
@@ -90,7 +91,7 @@ func DefaultConfig() Config {
 		RASEntries:   8,
 		Hier:         hier,
 		DRAM:         flatDRAM(),
-		NewMapper:    func() vm.Mapper { return &vm.SeqMapper{} },
+		Mapping:      vm.Mapping{Policy: "sequential"},
 	}
 }
 
@@ -140,23 +141,38 @@ type Machine struct {
 	cfg Config
 }
 
-// Check verifies the configuration is runnable.
+// Check verifies the configuration is runnable and every field is in
+// range.
 func (c Config) Check() error {
-	switch {
-	case c.FetchWidth <= 0 || c.DecodeWidth <= 0 || c.IssueWidth <= 0 || c.CommitWidth <= 0:
-		return fmt.Errorf("ruu: widths must be positive")
-	case c.RUUSize < 2*c.FetchWidth:
-		return fmt.Errorf("ruu: RUU %d too small for fetch width %d", c.RUUSize, c.FetchWidth)
-	case c.LSQSize <= 0:
-		return fmt.Errorf("ruu: LSQ must be positive")
-	case c.GShareBits <= 0 || c.BTBSets <= 0 || c.BTBAssoc <= 0 || c.RASEntries <= 0:
-		return fmt.Errorf("ruu: predictor geometry must be positive")
-	case c.RFReadCycles < 1:
-		return fmt.Errorf("ruu: RFReadCycles must be at least 1")
-	case c.NewMapper == nil:
-		return fmt.Errorf("ruu: NewMapper is required")
+	if err := bounds.Check("ruu",
+		bounds.Int{Name: "FetchWidth", V: c.FetchWidth, Lo: 1, Hi: 64},
+		bounds.Int{Name: "DecodeWidth", V: c.DecodeWidth, Lo: 1, Hi: 64},
+		bounds.Int{Name: "IssueWidth", V: c.IssueWidth, Lo: 1, Hi: 64},
+		bounds.Int{Name: "CommitWidth", V: c.CommitWidth, Lo: 1, Hi: 64},
+		bounds.Int{Name: "RUUSize", V: c.RUUSize, Lo: 2 * c.FetchWidth, Hi: 4096},
+		bounds.Int{Name: "LSQSize", V: c.LSQSize, Lo: 1, Hi: 4096},
+		bounds.Int{Name: "RenameRegs", V: c.RenameRegs, Lo: 0, Hi: 4096},
+		bounds.Int{Name: "IntALU", V: c.IntALU, Lo: 1, Hi: 64},
+		bounds.Int{Name: "IntMul", V: c.IntMul, Lo: 1, Hi: 64},
+		bounds.Int{Name: "FPALU", V: c.FPALU, Lo: 1, Hi: 64},
+		bounds.Int{Name: "FPMulDiv", V: c.FPMulDiv, Lo: 1, Hi: 64},
+		bounds.Int{Name: "MemPorts", V: c.MemPorts, Lo: 1, Hi: 64},
+		bounds.Int{Name: "RFReadCycles", V: c.RFReadCycles, Lo: 1, Hi: 64},
+		bounds.Int{Name: "BrPenalty", V: c.BrPenalty, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "GShareBits", V: c.GShareBits, Lo: 1, Hi: 20},
+		bounds.Int{Name: "BTBSets", V: c.BTBSets, Lo: 1, Hi: 1 << 16},
+		bounds.Int{Name: "BTBAssoc", V: c.BTBAssoc, Lo: 1, Hi: 64},
+		bounds.Int{Name: "RASEntries", V: c.RASEntries, Lo: 1, Hi: 1024},
+	); err != nil {
+		return err
 	}
-	return nil
+	if err := c.Hier.Check(); err != nil {
+		return err
+	}
+	if err := c.DRAM.Check(); err != nil {
+		return err
+	}
+	return c.Mapping.Check()
 }
 
 // New returns a machine for the configuration; it panics on a
@@ -337,7 +353,7 @@ type sim struct {
 func newSim(cfg Config) *sim {
 	s := &sim{
 		cfg:       cfg,
-		hier:      cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), dram.New(cfg.DRAM)),
+		hier:      cache.NewHierarchy(cfg.Hier, cfg.Mapping.New(), dram.New(cfg.DRAM)),
 		gshare:    make([]predict.SatCounter, 1<<cfg.GShareBits),
 		btb:       newBTB(cfg.BTBSets, cfg.BTBAssoc),
 		ras:       predict.NewRAS(cfg.RASEntries),

@@ -41,7 +41,7 @@ func TestLibraryPositions(t *testing.T) {
 
 func TestLibraryRunMatchesContinuousSampling(t *testing.T) {
 	const limit = 60_000
-	m := model.NewAlpha(model.DefaultAlphaConfig())
+	m := model.MustBuild(model.DefaultAlphaConfig())
 	w := gccAt(t, limit)
 	plan := core.SamplePlan{Period: 6_000, Warmup: 300, Measure: 300}
 
@@ -88,7 +88,7 @@ func TestLibraryRunMatchesContinuousSampling(t *testing.T) {
 
 func TestLibraryRunRejectsMismatch(t *testing.T) {
 	const limit = 20_000
-	m := model.NewAlpha(model.DefaultAlphaConfig())
+	m := model.MustBuild(model.DefaultAlphaConfig())
 	w := gccAt(t, limit)
 	plan := core.SamplePlan{Period: 5_000, Warmup: 500, Measure: 500}
 	lib, err := BuildLibrary(m, w, plan)
@@ -110,7 +110,7 @@ func TestLibraryRunRejectsMismatch(t *testing.T) {
 	if _, err := RunWithLibrary(m, w3, lib, plan, 1, 0); err == nil {
 		t.Error("budget beyond library coverage accepted")
 	}
-	stripped := model.NewAlpha(model.SimStrippedConfig())
+	stripped := model.MustBuild(model.SimStrippedConfig())
 	if _, err := RunWithLibrary(stripped, w, lib, plan, 1, 0); err == nil {
 		t.Error("incompatible machine accepted")
 	}

@@ -24,9 +24,9 @@ func testWorkload(t *testing.T, name string, limit uint64) core.Workload {
 
 func machines() []core.Machine {
 	return []core.Machine{
-		model.NewAlpha(model.DefaultAlphaConfig()),
-		model.NewRUU(model.DefaultRUUConfig()),
-		model.NewInorder(model.DefaultInorderConfig()),
+		model.MustBuild(model.DefaultAlphaConfig()),
+		model.MustBuild(model.DefaultRUUConfig()),
+		model.MustBuild(model.DefaultInorderConfig()),
 		model.NewNative(),
 	}
 }
@@ -99,7 +99,7 @@ func TestAllModelsHonorSampling(t *testing.T) {
 // must land near the full-run CPI and its 95% CI must contain it.
 func TestSampledAccuracy(t *testing.T) {
 	const limit = 15_000
-	m := model.NewAlpha(model.DefaultAlphaConfig())
+	m := model.MustBuild(model.DefaultAlphaConfig())
 	full, err := m.Run(testWorkload(t, "gcc", limit))
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestSampledAccuracy(t *testing.T) {
 // (machine, workload, plan).
 func TestSampledDeterminism(t *testing.T) {
 	const limit = 15_000
-	m := model.NewRUU(model.DefaultRUUConfig())
+	m := model.MustBuild(model.DefaultRUUConfig())
 	a, err := Run(m, testWorkload(t, "mesa", limit), PlanFor(limit), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestMaxIntervals(t *testing.T) {
 	const limit = 15_000
 	plan := PlanFor(limit)
 	plan.MaxIntervals = 3
-	r, err := Run(model.NewAlpha(model.DefaultAlphaConfig()), testWorkload(t, "gzip", limit), plan, 0)
+	r, err := Run(model.MustBuild(model.DefaultAlphaConfig()), testWorkload(t, "gzip", limit), plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestEstimate(t *testing.T) {
 // per-interval observations.
 func TestComponentEstimatesMeaningful(t *testing.T) {
 	const limit = 15_000
-	r, err := Run(model.NewAlpha(model.DefaultAlphaConfig()), testWorkload(t, "art", limit), PlanFor(limit), 0)
+	r, err := Run(model.MustBuild(model.DefaultAlphaConfig()), testWorkload(t, "art", limit), PlanFor(limit), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,6 +114,13 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		}
 		cfg = pointCfg
 	}
+	// Build before anything is cached or queued: a config outside its
+	// bounds is the client's error, answered without simulating.
+	m, err := model.Build(cfg)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	work := wl.w.Capped(req.Limit)
 	if req.Sample != nil {
 		if err := req.Sample.Check(); err != nil {
@@ -130,20 +137,6 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		s.acquire()
 		defer s.release()
 		s.metrics.Counter("cells_simulated_total").Inc()
-		// An unmutated cell runs the registered constructor (which
-		// covers composite identities like the reference machine); a
-		// swept cell rebuilds from the mutated config through the
-		// registry's builder.
-		var m core.Machine
-		if len(req.Axes) == 0 {
-			m = spec.New()
-		} else {
-			var err error
-			m, err = model.Build(cfg)
-			if err != nil {
-				return nil, err
-			}
-		}
 		res, err := m.Run(work)
 		if err != nil {
 			return nil, err
@@ -183,7 +176,11 @@ func (s *Server) runCell(spec model.Descriptor, work core.Workload) (core.RunRes
 		}
 	}
 	s.metrics.Counter("cells_simulated_total").Inc()
-	res, err := spec.New().Run(work)
+	m, err := model.Build(spec.Config)
+	if err != nil {
+		return core.RunResult{}, err
+	}
+	res, err := m.Run(work)
 	if err != nil {
 		return core.RunResult{}, err
 	}

@@ -100,6 +100,33 @@ func TestCellEndpoint(t *testing.T) {
 	}
 }
 
+// TestCellRejectsOutOfBoundsConfigs: a cell whose config fails Check
+// is the client's error. Each of these once ended or wedged the
+// process (an out-of-memory throw, a run that could not finish, a
+// negative shift) or answered 500; now each is a 400, and the daemon
+// keeps serving.
+func TestCellRejectsOutOfBoundsConfigs(t *testing.T) {
+	_, ts := newWorker(t)
+	for name, body := range map[string]string{
+		"huge ROB":         `{"machine":"sim-alpha","workload":"gzip","limit":1000,"axes":[{"name":"rob","field":"ROB","values":[68719476736]}]}`,
+		"huge L2 latency":  `{"machine":"sim-outorder","workload":"gzip","limit":2000,"axes":[{"name":"l2","field":"Hier.L2.HitLatency","values":[1099511627776]}]}`,
+		"negative bimodal": `{"machine":"sim-inorder","workload":"gzip","limit":1000,"axes":[{"name":"bim","field":"BimodalBits","values":[-1]}]}`,
+		"ROB below fetch":  `{"machine":"sim-alpha","workload":"gzip","limit":1000,"axes":[{"name":"rob","field":"ROB","values":[2]}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/cell", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST /v1/cell = %d, want 400", name, resp.StatusCode)
+		}
+		if code, _, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+			t.Fatalf("%s: /healthz = %d after the request", name, code)
+		}
+	}
+}
+
 // TestDistributedSweepByteIdentical is the tier's core guarantee: a
 // sweep sharded over two workers returns byte-for-byte the result a
 // single node computes.

@@ -198,8 +198,8 @@ type sweepPlan struct {
 	// job synthesized inline (req.Generate) or resolved to minted
 	// catalogue entries, so remote cells can rebuild them by spec.
 	gen    map[string]*workgen.Spec
-	refNew func() core.Machine // nil unless an analysis needs it
-	points int                 // planned point count (budget accounting)
+	ref    any // reference machine config; nil unless an analysis needs it
+	points int // planned point count (budget accounting)
 }
 
 // planSweep validates a request into an executable plan. Every error
@@ -237,9 +237,6 @@ func (s *Server) planSweep(req SweepRequest) (sweepPlan, int, error) {
 			return plan, http.StatusNotFound, fmt.Errorf("unknown machine: %w", err)
 		}
 		machine = spec.Name
-		if _, err := model.Build(spec.Config); err != nil {
-			return plan, http.StatusBadRequest, fmt.Errorf("machine %q is not sweepable: %w", machine, err)
-		}
 		axes := make([]sweep.Axis, len(req.Axes))
 		for i, a := range req.Axes {
 			axes[i] = sweep.Axis{Name: a.Name, Field: a.Field, Values: a.Values}
@@ -314,7 +311,7 @@ func (s *Server) planSweep(req SweepRequest) (sweepPlan, int, error) {
 		if err != nil {
 			return plan, http.StatusNotFound, fmt.Errorf("unknown reference machine: %w", err)
 		}
-		plan.refNew = spec.New
+		plan.ref = spec.Config
 	}
 
 	// The point budget. Calibration enumerates per round, so its
@@ -492,8 +489,8 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepTask, plan sweepPlan
 	}
 
 	var ref []core.RunResult
-	if plan.refNew != nil {
-		rs, err := eng.Reference(ctx, plan.refNew)
+	if plan.ref != nil {
+		rs, err := eng.Reference(ctx, plan.ref)
 		if err != nil {
 			job.finish(nil, err)
 			s.recordSweepOutcome(job, sweep.Stats{})

@@ -223,7 +223,7 @@ func TestSweepValidationErrors(t *testing.T) {
 		{"bad json", `{`, http.StatusBadRequest},
 		{"no axes", `{"machine": "sim-alpha"}`, http.StatusBadRequest},
 		{"unknown machine", `{"machine": "sim-nope", "axes": [{"name": "a", "field": "ROB", "values": [1]}]}`, http.StatusNotFound},
-		{"unsweepable reference machine", `{"machine": "native-ds10l", "axes": [{"name": "a", "field": "ROB", "values": [1]}]}`, http.StatusBadRequest},
+		{"reference machine field outside Model", `{"machine": "native-ds10l", "axes": [{"name": "a", "field": "ROB", "values": [1]}]}`, http.StatusBadRequest},
 		{"bad field path", `{"axes": [{"name": "a", "field": "NoSuchKnob", "values": [1]}]}`, http.StatusBadRequest},
 		{"lossy value", `{"axes": [{"name": "a", "field": "ROB", "values": [1.5]}]}`, http.StatusBadRequest},
 		{"unknown workload", `{"axes": [{"name": "a", "field": "ROB", "values": [80, 40]}], "workloads": ["nope"]}`, http.StatusNotFound},
@@ -256,6 +256,52 @@ func TestSweepValidationErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("DELETE unknown job = %d", resp.StatusCode)
+	}
+}
+
+// TestSweepMappingPolicyAxis: page mapping is a config value, so it
+// sweeps like any knob, and on a memory-bound macrobenchmark the two
+// policies are two different machines with two different answers.
+func TestSweepMappingPolicyAxis(t *testing.T) {
+	_, ts := newTestServer(t)
+	info := submitSweep(t, ts.URL, SweepRequest{
+		Machine:   "sim-alpha",
+		Axes:      []SweepAxis{{Name: "map", Field: "Mapping.Policy", Values: []any{"sequential", "hashed"}}},
+		Workloads: []string{"equake"},
+		Limit:     20000,
+	})
+	done := waitSweep(t, ts.URL, info.ID)
+	if done.Status != sweepDone {
+		t.Fatalf("job = %q (%s), want done", done.Status, done.Error)
+	}
+	pts := done.Result.Points
+	if len(pts) != 2 {
+		t.Fatalf("%d points, want 2", len(pts))
+	}
+	if a, b := pts[0].Cells[0].CPI, pts[1].Cells[0].CPI; a == b {
+		t.Errorf("sequential and hashed mapping give the same CPI %v on equake", a)
+	}
+	if done.Result.Stats.CacheHits != 0 {
+		t.Errorf("distinct mapping policies shared %d cache entries", done.Result.Stats.CacheHits)
+	}
+}
+
+// TestSweepNativeBase: the reference machine is a config value like
+// any other, so it is a sweep base; its core knobs sit under Model.
+func TestSweepNativeBase(t *testing.T) {
+	_, ts := newTestServer(t)
+	info := submitSweep(t, ts.URL, SweepRequest{
+		Machine:   "native-ds10l",
+		Axes:      []SweepAxis{{Name: "rob", Field: "Model.ROB", Values: []any{80, 20}}},
+		Workloads: []string{"M-I"},
+		Limit:     3000,
+	})
+	done := waitSweep(t, ts.URL, info.ID)
+	if done.Status != sweepDone {
+		t.Fatalf("job = %q (%s), want done", done.Status, done.Error)
+	}
+	if pts := done.Result.Points; len(pts) != 2 || pts[0].Cells[0].Cycles == pts[1].Cells[0].Cycles {
+		t.Fatalf("native ROB sweep points = %+v", pts)
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 	"repro/internal/simcache"
 )
 
-func refMachineFactory() func() core.Machine {
-	return func() core.Machine { return model.NewNative() }
-}
+// refConfig is the reference machine analyses measure against.
+func refConfig() any { return model.DefaultNativeConfig() }
 
 // Sensitivity must rank a knob that moves CPI a lot (integer issue
 // width on ILP-heavy kernels) above a knob that cannot matter for a
@@ -68,7 +67,7 @@ func TestSensitivityWithReference(t *testing.T) {
 		Cache:     simcache.New(0),
 	}
 	ctx := context.Background()
-	ref, err := e.Reference(ctx, refMachineFactory())
+	ref, err := e.Reference(ctx, refConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func TestCalibrationConvergesFromSimInitial(t *testing.T) {
 		Cache:     cache,
 	}
 	ctx := context.Background()
-	ref, err := e.Reference(ctx, refMachineFactory())
+	ref, err := e.Reference(ctx, refConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,18 +13,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Builder constructs a machine from a swept configuration value.
-type Builder func(cfg any) (core.Machine, error)
-
-// DefaultBuilder builds machines for every sweepable config type in
-// the repository by delegating to the backend registry, validating
-// the configuration first so a degenerate sweep point surfaces as
-// that cell's error, not a panic. An unrecognized config type returns
-// an error wrapping model.ErrUnknownBackend.
-func DefaultBuilder(cfg any) (core.Machine, error) {
-	return model.Build(cfg)
-}
-
 // Engine runs sweep points over a workload suite: every (point ×
 // workload) cell fans out on the runner worker pool, and results are
 // memoized through the content-addressed cache so overlapping sweeps
@@ -32,8 +20,6 @@ func DefaultBuilder(cfg any) (core.Machine, error) {
 type Engine struct {
 	// Workloads is the suite every point runs.
 	Workloads []core.Workload
-	// Build turns a point's config into a machine (nil = DefaultBuilder).
-	Build Builder
 	// Limit caps dynamic instructions per run (0 = workload length).
 	Limit uint64
 	// Parallelism is the worker-pool width (0 = GOMAXPROCS). It never
@@ -138,31 +124,71 @@ func CellKey(cfg any, w core.Workload) simcache.Key {
 // accounting. Cancel the context to abandon the sweep; cells already
 // computed stay cached for the next attempt.
 func (e *Engine) Run(ctx context.Context, s *Space, pts []Point) ([]PointResult, Stats, error) {
-	if len(e.Workloads) == 0 {
-		return nil, Stats{}, fmt.Errorf("sweep: engine has no workloads")
-	}
-	build := e.Build
-	if build == nil {
-		build = DefaultBuilder
-	}
 	if err := s.Check(); err != nil {
 		return nil, Stats{}, err
 	}
-	configs := make([]any, len(pts))
+	cfgs := make([]any, len(pts))
 	for i, p := range pts {
 		cfg, err := s.Config(p)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		configs[i] = cfg
+		cfgs[i] = cfg
+	}
+	var remote func(ctx context.Context, i int, w core.Workload) ([]byte, error)
+	if e.Remote != nil {
+		remote = func(ctx context.Context, i int, w core.Workload) ([]byte, error) {
+			return e.Remote(ctx, s, pts[i], w)
+		}
+	}
+	rows, st, err := e.cells(ctx, cfgs, remote)
+	if err != nil {
+		return nil, st, err
+	}
+	out := make([]PointResult, len(pts))
+	for i, p := range pts {
+		out[i] = PointResult{Point: p.Clone(), Label: s.Label(p), Results: rows[i]}
+	}
+	return out, st, nil
+}
+
+// RunConfigs runs every config's full workload suite and returns one
+// result row per config (parallel to Workloads), in config order,
+// with cell accounting. Each cell builds its machine with model.Build,
+// so a config failing its Check fails the run with an error.
+func (e *Engine) RunConfigs(ctx context.Context, cfgs []any) ([][]core.RunResult, Stats, error) {
+	return e.cells(ctx, cfgs, nil)
+}
+
+// Reference runs one config — the machine an analysis measures
+// against — over the workload suite as ordinary cells, cached when
+// the engine has a cache.
+func (e *Engine) Reference(ctx context.Context, cfg any) ([]core.RunResult, error) {
+	rows, _, err := e.RunConfigs(ctx, []any{cfg})
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
+// cells is the engine's one cell loop: every (config × workload) cell
+// on the worker pool, merged by cell index so results are
+// deterministic at any parallelism. remote, when set, dispatches
+// config i's cell on a workload to a worker, falling back to local
+// execution on failure. Without a cache or a remote, a cell returns
+// the machine's RunResult directly: bytes exist only where the cache
+// stores them or a worker sends them.
+func (e *Engine) cells(ctx context.Context, cfgs []any, remote func(ctx context.Context, i int, w core.Workload) ([]byte, error)) ([][]core.RunResult, Stats, error) {
+	if len(e.Workloads) == 0 {
+		return nil, Stats{}, fmt.Errorf("sweep: engine has no workloads")
 	}
 	ws := e.limited()
 
-	type cell struct{ p, w int }
-	cells := make([]cell, 0, len(pts)*len(ws))
-	for p := range pts {
+	type cell struct{ c, w int }
+	cells := make([]cell, 0, len(cfgs)*len(ws))
+	for c := range cfgs {
 		for w := range ws {
-			cells = append(cells, cell{p, w})
+			cells = append(cells, cell{c, w})
 		}
 	}
 
@@ -171,97 +197,75 @@ func (e *Engine) Run(ctx context.Context, s *Space, pts []Point) ([]PointResult,
 		if err := ctx.Err(); err != nil {
 			return core.RunResult{}, err
 		}
-		cfg, w := configs[c.p], ws[c.w]
-		// compute produces the cell's canonical result bytes:
-		// dispatched to a worker when the Remote hook is set (falling
-		// back to local on dispatch failure), locally otherwise.
+		cfg, w := cfgs[c.c], ws[c.w]
+		if e.Cache == nil && remote == nil {
+			return runLocal(cfg, w)
+		}
+		// compute produces the cell's canonical result bytes.
 		compute := func() ([]byte, error) {
-			if e.Remote != nil {
-				if body, rerr := e.Remote(ctx, s, pts[c.p], w); rerr == nil {
+			if remote != nil {
+				if body, rerr := remote(ctx, c.c, w); rerr == nil {
 					return body, nil
 				}
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			m, err := build(cfg)
-			if err != nil {
-				return nil, err
-			}
-			r, err := m.Run(w)
+			r, err := runLocal(cfg, w)
 			if err != nil {
 				return nil, err
 			}
 			return json.Marshal(r)
 		}
+		var body []byte
+		var err error
 		if e.Cache == nil {
-			body, err := compute()
-			if err != nil {
-				return core.RunResult{}, err
+			body, err = compute()
+		} else {
+			var cached bool
+			body, cached, err = e.Cache.GetOrCompute(CellKey(cfg, w), compute)
+			if cached {
+				hits.Add(1)
 			}
-			var r core.RunResult
-			if err := json.Unmarshal(body, &r); err != nil {
-				return core.RunResult{}, fmt.Errorf("sweep: corrupt cell result: %w", err)
-			}
-			return r, nil
 		}
-		key := CellKey(cfg, w)
-		body, cached, err := e.Cache.GetOrCompute(key, compute)
 		if err != nil {
 			return core.RunResult{}, err
 		}
-		if cached {
-			hits.Add(1)
-		}
-		// Both hit and miss decode the stored bytes, so the two paths
-		// can never diverge.
+		// Hit, miss and remote all decode the stored bytes, so the
+		// paths can never diverge.
 		var r core.RunResult
 		if err := json.Unmarshal(body, &r); err != nil {
-			return core.RunResult{}, fmt.Errorf("sweep: corrupt cached cell: %w", err)
+			return core.RunResult{}, fmt.Errorf("sweep: corrupt cell result: %w", err)
 		}
 		return r, nil
 	})
-	st := Stats{Points: len(pts), Cells: len(cells), CacheHits: int(hits.Load())}
+	st := Stats{Points: len(cfgs), Cells: len(cells), CacheHits: int(hits.Load())}
 	if err != nil {
 		return nil, st, err
 	}
-	for _, r := range res {
+	rows := make([][]core.RunResult, len(cfgs))
+	for i := range rows {
+		rows[i] = make([]core.RunResult, len(ws))
+	}
+	for i, c := range cells {
+		r := res[i]
+		rows[c.c][c.w] = r
 		if r.Sampled != nil {
 			st.DetailedInstructions += r.Sampled.DetailedInstructions
 		} else {
 			st.DetailedInstructions += r.Instructions
 		}
 	}
-
-	out := make([]PointResult, len(pts))
-	for i, p := range pts {
-		out[i] = PointResult{
-			Point:   p.Clone(),
-			Label:   s.Label(p),
-			Results: make([]core.RunResult, len(ws)),
-		}
-	}
-	for i, c := range cells {
-		out[c.p].Results[c.w] = res[i]
-	}
-	return out, st, nil
+	return rows, st, nil
 }
 
-// Reference runs a reference machine (built fresh per cell by the
-// factory) over the engine's workload suite, uncached: the reference
-// is computed once per analysis, and its identity — a machine, not a
-// swept config — is not content-addressable through the space.
-func (e *Engine) Reference(ctx context.Context, build func() core.Machine) ([]core.RunResult, error) {
-	if len(e.Workloads) == 0 {
-		return nil, fmt.Errorf("sweep: engine has no workloads")
+// runLocal builds the cell's machine and runs it in this process.
+func runLocal(cfg any, w core.Workload) (core.RunResult, error) {
+	m, err := model.Build(cfg)
+	if err != nil {
+		return core.RunResult{}, err
 	}
-	ws := e.limited()
-	return runner.Map(e.Parallelism, ws, func(_ int, w core.Workload) (core.RunResult, error) {
-		if err := ctx.Err(); err != nil {
-			return core.RunResult{}, err
-		}
-		return build().Run(w)
-	})
+	return m.Run(w)
 }
 
 // MeanAbsCPIError is the calibration objective: the arithmetic mean

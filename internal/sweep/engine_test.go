@@ -157,8 +157,8 @@ func TestEngineCancellation(t *testing.T) {
 }
 
 func TestEngineRejectsDegeneratePointConfigs(t *testing.T) {
-	// ROB = 2 fails alpha.Config.Check inside DefaultBuilder; the
-	// cell must fail with an error, not panic the process.
+	// ROB = 2 fails alpha.Config.Check inside model.Build; the cell
+	// must fail with an error, not panic the process.
 	s := &Space{Base: tuningSpace().Base, Axes: []Axis{Ints("rob", "ROB", 2)}}
 	e := testEngine(t)
 	_, _, err := e.Run(context.Background(), s, []Point{{0}})
@@ -169,7 +169,7 @@ func TestEngineRejectsDegeneratePointConfigs(t *testing.T) {
 
 func TestReference(t *testing.T) {
 	e := testEngine(t)
-	ref, err := e.Reference(context.Background(), refMachineFactory())
+	ref, err := e.Reference(context.Background(), refConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ func TestSpaceCheck(t *testing.T) {
 			Axes: []Axis{{Name: "x", Field: "ROB"}}}, "no values"},
 		{"type mismatch", &Space{Base: model.DefaultAlphaConfig(),
 			Axes: []Axis{{Name: "x", Field: "ROB", Values: []any{"eighty"}}}}, "cannot assign"},
-		{"func field aliases cache keys", &Space{Base: model.DefaultAlphaConfig(),
-			Axes: []Axis{{Name: "x", Field: "NewMapper", Values: []any{nil}}}}, "fingerprint-opaque"},
+		{"func field aliases cache keys", &Space{Base: struct{ Hook func() }{},
+			Axes: []Axis{{Name: "x", Field: "Hook", Values: []any{nil}}}}, "fingerprint-opaque"},
 		{"non-struct base", &Space{Base: 42,
 			Axes: []Axis{Ints("x", "ROB", 1)}}, "must be a struct"},
 	}

@@ -143,11 +143,7 @@ func Attribution(opt Options) (AttributionResult, error) {
 	}
 	ws = opt.apply(ws)
 
-	builds := []factory{
-		func() core.Machine { return model.NewAlpha(model.DefaultAlphaConfig()) },
-		func() core.Machine { return model.NewInterval(model.DefaultIntervalConfig()) },
-	}
-	grids, err := runGrid(opt, builds, ws)
+	grids, err := runGrid(opt, []any{model.DefaultAlphaConfig(), model.DefaultIntervalConfig()}, ws)
 	if err != nil {
 		return AttributionResult{}, err
 	}

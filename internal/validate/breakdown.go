@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/microbench"
 	"repro/internal/model"
@@ -44,11 +43,11 @@ type BreakdownResult struct {
 // be expensive.
 func Breakdown(opt Options) (BreakdownResult, error) {
 	ws := opt.apply(microbench.Suite())
-	grids, err := runGrid(opt, []factory{
-		func() core.Machine { return model.NewNative() },
-		func() core.Machine { return model.NewAlpha(model.DefaultAlphaConfig()) },
-		func() core.Machine { return model.NewRUU(model.DefaultRUUConfig()) },
-		func() core.Machine { return model.NewInorder(model.DefaultInorderConfig()) },
+	grids, err := runGrid(opt, []any{
+		model.DefaultNativeConfig(),
+		model.DefaultAlphaConfig(),
+		model.DefaultRUUConfig(),
+		model.DefaultInorderConfig(),
 	}, ws)
 	if err != nil {
 		return BreakdownResult{}, err

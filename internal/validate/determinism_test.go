@@ -231,11 +231,11 @@ func TestDDRBackedRunDeterminism(t *testing.T) {
 		}
 		ws := quick.apply(macrobench.Suite())
 		w := ws[0]
-		a, err := d.New().Run(w)
+		a, err := model.MustBuild(d.Config).Run(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := d.New().Run(w)
+		b, err := model.MustBuild(d.Config).Run(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,10 +257,10 @@ func TestModelFingerprintsUnchanged(t *testing.T) {
 		cfg  any
 		want string
 	}{
-		"sim-alpha":    {model.DefaultAlphaConfig(), "8690265aa54c5e09301c5285fdb22b82a36e3d027ec262a52eb313fc4a77751f"},
-		"sim-initial":  {model.SimInitialConfig(), "6c89a268d4e7740d11ec8663db3712ca0636c77bb2c6a6fb753ebfcc37b27d21"},
-		"sim-outorder": {model.DefaultRUUConfig(), "59ac47bb634bc23c86fb606647c24aa26ea09d02f810f632edc5de752ef07a42"},
-		"sim-inorder":  {model.DefaultInorderConfig(), "29694f7d2b0720bce6024d8308fa124171b0695913af8c2a0a10180e5f84b404"},
+		"sim-alpha":    {model.DefaultAlphaConfig(), "b402dc45f9366e1369f5ce6fe9f20e08e3d0c238a96e19534eae99ba56ad0897"},
+		"sim-initial":  {model.SimInitialConfig(), "5ec280d424d2dcc2c9e9feb32ee20abcc58bef741d021e72e90229fd079aa743"},
+		"sim-outorder": {model.DefaultRUUConfig(), "29e8a26f889057562ae9ff3b7d560fa9349fac14a26d32418b2fc85adaecd093"},
+		"sim-inorder":  {model.DefaultInorderConfig(), "af1f656c191e77a2f1d6bf4211eac60e3e26c0ae9f5a43a9a5c14e42288427fb"},
 	}
 	for name, d := range digests {
 		got := simcache.KeyOf(simcache.Fingerprint(d.cfg)).String()

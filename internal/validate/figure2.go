@@ -50,26 +50,17 @@ type Figure2Result struct {
 func Figure2(opt Options) (Figure2Result, error) {
 	ws := opt.apply(macrobench.Suite())
 
-	abstract := func(i int) core.Machine {
-		cfg := model.EightWideRUUConfig()
-		applyRF(i, &cfg.RFReadCycles, &cfg.PartialBypass)
-		return model.NewRUU(cfg)
-	}
-	alphaM := func(i int) core.Machine {
-		cfg := model.DefaultAlphaConfig()
-		applyRF(i, &cfg.RFReadCycles, &cfg.PartialBypass)
-		return model.NewAlpha(cfg)
-	}
-
 	// Six machines (two simulators × three RF configurations) × the
 	// macro suite, all cells concurrent on the worker pool.
-	var builds []factory
+	var cfgs []any
 	for i := 0; i < 3; i++ {
-		builds = append(builds,
-			func() core.Machine { return abstract(i) },
-			func() core.Machine { return alphaM(i) })
+		abstract := model.EightWideRUUConfig()
+		applyRF(i, &abstract.RFReadCycles, &abstract.PartialBypass)
+		alpha := model.DefaultAlphaConfig()
+		applyRF(i, &alpha.RFReadCycles, &alpha.PartialBypass)
+		cfgs = append(cfgs, abstract, alpha)
 	}
-	grids, err := runGrid(opt, builds, ws)
+	grids, err := runGrid(opt, cfgs, ws)
 	if err != nil {
 		return Figure2Result{}, err
 	}

@@ -1,42 +1,32 @@
 package validate
 
 import (
+	"context"
+
 	"repro/internal/core"
-	"repro/internal/runner"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
-// A machine factory builds a fresh machine instance. Every simulation
-// cell constructs its own machine (machines are cheap, config-only
-// values; pipeline state is built per Run), so no instance is ever
-// shared between workers.
-type factory func() core.Machine
-
-// runGrid executes the full (machine × workload) grid of an
-// experiment on the worker pool and returns one workload-name-keyed
-// result map per factory, in factory order. The merge is keyed by
-// cell index — never by completion order — so the grid is
-// deterministic at any parallelism.
-func runGrid(opt Options, builds []factory, ws []core.Workload) ([]map[string]core.RunResult, error) {
-	type cell struct{ m, w int }
-	cells := make([]cell, 0, len(builds)*len(ws))
-	for m := range builds {
-		for w := range ws {
-			cells = append(cells, cell{m, w})
-		}
-	}
-	res, err := runner.Map(opt.Parallelism, cells, func(_ int, c cell) (core.RunResult, error) {
-		return builds[c.m]().Run(ws[c.w])
-	})
+// runGrid executes the full (machine config × workload) grid of an
+// experiment on the sweep engine's cell loop and returns one
+// workload-name-keyed result map per config, in config order. The
+// engine merges by cell index — never by completion order — so the
+// grid is deterministic at any parallelism. It has no cache: a grid's
+// cells are all distinct, and an uncached cell returns its machine's
+// result without a byte round trip.
+func runGrid(opt Options, cfgs []any, ws []core.Workload) ([]map[string]core.RunResult, error) {
+	eng := &sweep.Engine{Workloads: ws, Parallelism: opt.Parallelism}
+	rows, _, err := eng.RunConfigs(context.Background(), cfgs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]map[string]core.RunResult, len(builds))
-	for i := range out {
+	out := make([]map[string]core.RunResult, len(rows))
+	for i, row := range rows {
 		out[i] = make(map[string]core.RunResult, len(ws))
-	}
-	for i, c := range cells {
-		out[c.m][ws[c.w].Name] = res[i]
+		for j, w := range ws {
+			out[i][w.Name] = row[j]
+		}
 	}
 	return out, nil
 }

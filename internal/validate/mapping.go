@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/macrobench"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -27,6 +26,22 @@ type MappingResult struct {
 	MaxSpread float64
 }
 
+// mappingConfigs is sim-alpha under the study's three page-mapping
+// policies, in column order.
+func mappingConfigs() []any {
+	var cfgs []any
+	for _, m := range []vm.Mapping{
+		{Policy: "sequential"},
+		{Policy: "page-colored", Colors: (2 << 20) / vm.PageSize},
+		{Policy: "hashed", Seed: 12345},
+	} {
+		cfg := model.DefaultAlphaConfig()
+		cfg.Mapping = m
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
 // MappingStudy is an extension of the paper's Section 4 argument:
 // virtual-to-physical page mappings change L2-conflict and DRAM
 // behavior in ways a user-level simulator cannot reproduce, so some
@@ -35,25 +50,10 @@ type MappingResult struct {
 // error that exists with *no* modeling bugs at all.
 func MappingStudy(opt Options) (MappingResult, error) {
 	ws := opt.apply(macrobench.Suite())
-	mappers := []func() vm.Mapper{
-		func() vm.Mapper { return &vm.SeqMapper{} },
-		func() vm.Mapper {
-			colors := uint64((2 << 20) / vm.PageSize)
-			return &vm.ColorMapper{Colors: colors}
-		},
-		func() vm.Mapper { return &vm.HashMapper{Seed: 12345} },
-	}
 	// Three mapping policies × the macro suite, every cell concurrent
 	// on the worker pool.
-	var builds []factory
-	for _, nm := range mappers {
-		builds = append(builds, func() core.Machine {
-			cfg := model.DefaultAlphaConfig()
-			cfg.NewMapper = nm
-			return model.NewAlpha(cfg)
-		})
-	}
-	grids, err := runGrid(opt, builds, ws)
+	cfgs := mappingConfigs()
+	grids, err := runGrid(opt, cfgs, ws)
 	if err != nil {
 		return MappingResult{}, err
 	}
@@ -63,7 +63,7 @@ func MappingStudy(opt Options) (MappingResult, error) {
 		var row MappingRow
 		row.Benchmark = w.Name
 		ipcs := make([]float64, 3)
-		for i := range mappers {
+		for i := range cfgs {
 			ipcs[i] = grids[i][w.Name].IPC()
 		}
 		row.SeqIPC, row.ColorIPC, row.HashIPC = ipcs[0], ipcs[1], ipcs[2]

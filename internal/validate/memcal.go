@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/microbench"
 	"repro/internal/model"
@@ -64,19 +63,17 @@ func MemoryCalibration(opt Options) (MemCalResult, error) {
 			}
 		}
 	}
-	builds := []factory{func() core.Machine { return model.NewNative() }}
+	cfgs := []any{model.DefaultNativeConfig()}
 	for _, pt := range points {
-		builds = append(builds, func() core.Machine {
-			cfg := model.DefaultAlphaConfig()
-			cfg.DRAM.OpenPage = pt.OpenPage
-			cfg.DRAM.RASCycles = pt.RAS
-			cfg.DRAM.CASCycles = pt.CAS
-			cfg.DRAM.PrechargeCycles = pt.Precharge
-			cfg.DRAM.ControllerCycles = pt.Controller
-			return model.NewAlpha(cfg)
-		})
+		cfg := model.DefaultAlphaConfig()
+		cfg.DRAM.OpenPage = pt.OpenPage
+		cfg.DRAM.RASCycles = pt.RAS
+		cfg.DRAM.CASCycles = pt.CAS
+		cfg.DRAM.PrechargeCycles = pt.Precharge
+		cfg.DRAM.ControllerCycles = pt.Controller
+		cfgs = append(cfgs, cfg)
 	}
-	grids, err := runGrid(opt, builds, ws)
+	grids, err := runGrid(opt, cfgs, ws)
 	if err != nil {
 		return MemCalResult{}, err
 	}

@@ -137,19 +137,6 @@ func tierVariants() []struct{ policy, sched string } {
 	return out
 }
 
-// buildOf wraps a registry config value as a machine factory. The
-// configs this experiment constructs are validated by construction,
-// so a build failure is a programming error, not an input error.
-func buildOf(cfg any) factory {
-	return func() core.Machine {
-		m, err := model.Build(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("validate: memory experiment built an invalid config: %v", err))
-		}
-		return m
-	}
-}
-
 // Memory runs the memory-error experiment: calibrate the DDR timing
 // space against the reference machine on the Section 4.2 workloads,
 // then measure flat vs default-DDR vs calibrated-DDR macro CPI error
@@ -167,7 +154,7 @@ func Memory(opt Options) (MemoryResult, error) {
 		Parallelism: opt.Parallelism,
 		Cache:       simcache.New(4096),
 	}
-	ref, err := eng.Reference(ctx, func() core.Machine { return model.NewNative() })
+	ref, err := eng.Reference(ctx, model.DefaultNativeConfig())
 	if err != nil {
 		return out, err
 	}
@@ -181,7 +168,7 @@ func Memory(opt Options) (MemoryResult, error) {
 	if err != nil {
 		return out, err
 	}
-	calCfg := calAny.(model.AlphaDDRConfig)
+	calCfg := calAny.(model.AlphaConfig)
 	out.Calibrated = calCfg.DDR
 
 	// --- Microbenchmark table: native vs flat vs default DDR on the
@@ -192,9 +179,7 @@ func Memory(opt Options) (MemoryResult, error) {
 	if err != nil {
 		return out, err
 	}
-	flatGrid, err := runGrid(opt, []factory{
-		func() core.Machine { return model.NewAlpha(model.DefaultAlphaConfig()) },
-	}, calWS)
+	flatGrid, err := runGrid(opt, []any{model.DefaultAlphaConfig()}, calWS)
 	if err != nil {
 		return out, err
 	}
@@ -213,11 +198,11 @@ func Memory(opt Options) (MemoryResult, error) {
 	// --- Macro table: the full macro suite on native, flat sim-alpha,
 	// default DDR, and calibrated DDR.
 	macroWS := opt.apply(macrobench.Suite())
-	macroGrids, err := runGrid(opt, []factory{
-		func() core.Machine { return model.NewNative() },
-		func() core.Machine { return model.NewAlpha(model.DefaultAlphaConfig()) },
-		buildOf(model.SimAlphaDDRConfig()),
-		buildOf(calCfg),
+	macroGrids, err := runGrid(opt, []any{
+		model.DefaultNativeConfig(),
+		model.DefaultAlphaConfig(),
+		model.SimAlphaDDRConfig(),
+		calCfg,
 	}, macroWS)
 	if err != nil {
 		return out, err
@@ -253,18 +238,17 @@ func Memory(opt Options) (MemoryResult, error) {
 	// --- Tier stability: the row-policy × scheduler cross product at
 	// the calibrated timings, on the detailed and analytical tiers.
 	variants := tierVariants()
-	var tierBuilds []factory
+	var tierCfgs []any
 	for _, v := range variants {
-		ddr := out.Calibrated
-		ddr.RowPolicy, ddr.Scheduler = v.policy, v.sched
-		tierBuilds = append(tierBuilds, buildOf(model.AlphaDDRConfig{Core: calCfg.Core, DDR: ddr}))
+		ac := calCfg
+		ac.DDR.RowPolicy, ac.DDR.Scheduler = v.policy, v.sched
+		tierCfgs = append(tierCfgs, ac)
 	}
 	for _, v := range variants {
-		ddr := out.Calibrated
-		ddr.RowPolicy, ddr.Scheduler = v.policy, v.sched
 		ic := model.SimIntervalDDRConfig()
-		ic.DDR = ddr
-		tierBuilds = append(tierBuilds, buildOf(ic))
+		ic.DDR = out.Calibrated
+		ic.DDR.RowPolicy, ic.DDR.Scheduler = v.policy, v.sched
+		tierCfgs = append(tierCfgs, ic)
 	}
 	memWS := make([]core.Workload, 0, len(macroWS))
 	for _, w := range macroWS {
@@ -272,7 +256,7 @@ func Memory(opt Options) (MemoryResult, error) {
 			memWS = append(memWS, w)
 		}
 	}
-	tierGrids, err := runGrid(opt, tierBuilds, memWS)
+	tierGrids, err := runGrid(opt, tierCfgs, memWS)
 	if err != nil {
 		return out, err
 	}

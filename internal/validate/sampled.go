@@ -72,7 +72,7 @@ func Sampled(opt Options) (SampledResult, error) {
 			p := sample.PlanFor(w.MaxInstructions)
 			w.Sample = &p
 		}
-		return model.NewAlpha(model.DefaultAlphaConfig()).Run(w)
+		return model.MustBuild(model.DefaultAlphaConfig()).Run(w)
 	})
 	if err != nil {
 		return SampledResult{}, err

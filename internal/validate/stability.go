@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/macrobench"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -36,7 +35,7 @@ var StabilityOptimizations = []string{
 
 // stabilityAlpha mutates the detailed configuration for one
 // optimization.
-func stabilityAlpha(opt string) core.Machine {
+func stabilityAlpha(opt string) model.AlphaConfig {
 	cfg := model.DefaultAlphaConfig()
 	switch opt {
 	case "":
@@ -52,13 +51,13 @@ func stabilityAlpha(opt string) core.Machine {
 		cfg.Tour.GlobalHistBits += 2
 		cfg.Tour.LocalHistBits += 2
 	}
-	return model.NewAlpha(cfg)
+	return cfg
 }
 
 // stabilityInterval mutates the analytical configuration for the
 // same optimization. The rename-register change has no analytical
 // counterpart: the interval model cannot see rename pressure at all.
-func stabilityInterval(opt string) core.Machine {
+func stabilityInterval(opt string) model.IntervalConfig {
 	cfg := model.DefaultIntervalConfig()
 	switch opt {
 	case "":
@@ -73,7 +72,7 @@ func stabilityInterval(opt string) core.Machine {
 	case StabilityOptimizations[4]:
 		cfg.BimodalBits += 2
 	}
-	return model.NewInterval(cfg)
+	return cfg
 }
 
 // StabilityRow is one optimization's improvement on both tiers.
@@ -115,17 +114,17 @@ type StabilityResult struct {
 func Stability(opt Options) (StabilityResult, error) {
 	ws := opt.apply(macrobench.Suite())
 
-	// Build order: for tier t (0 detailed, 1 analytical) and variant v
-	// (0 baseline, then the optimizations), factory t*(1+nOpts)+v.
+	// Config order: for tier t (0 detailed, 1 analytical) and variant
+	// v (0 baseline, then the optimizations), config t*(1+nOpts)+v.
 	variants := append([]string{""}, StabilityOptimizations...)
-	var builds []factory
+	var cfgs []any
 	for _, v := range variants {
-		builds = append(builds, func() core.Machine { return stabilityAlpha(v) })
+		cfgs = append(cfgs, stabilityAlpha(v))
 	}
 	for _, v := range variants {
-		builds = append(builds, func() core.Machine { return stabilityInterval(v) })
+		cfgs = append(cfgs, stabilityInterval(v))
 	}
-	grids, err := runGrid(opt, builds, ws)
+	grids, err := runGrid(opt, cfgs, ws)
 	if err != nil {
 		return StabilityResult{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/microbench"
 	"repro/internal/model"
 	"repro/internal/simcache"
@@ -54,7 +53,7 @@ func Sweep(opt Options) (SweepResult, error) {
 	eng := sweepEngine(opt)
 	space := &sweep.Space{Base: model.DefaultAlphaConfig(), Axes: tuningAxes()}
 	ctx := context.Background()
-	ref, err := eng.Reference(ctx, func() core.Machine { return model.NewNative() })
+	ref, err := eng.Reference(ctx, model.DefaultNativeConfig())
 	if err != nil {
 		return SweepResult{}, err
 	}
@@ -114,7 +113,7 @@ func Calibration(opt Options) (AutoCalResult, error) {
 	eng := sweepEngine(opt)
 	space := sweep.SimInitialBugSpace()
 	ctx := context.Background()
-	ref, err := eng.Reference(ctx, func() core.Machine { return model.NewNative() })
+	ref, err := eng.Reference(ctx, model.DefaultNativeConfig())
 	if err != nil {
 		return AutoCalResult{}, err
 	}

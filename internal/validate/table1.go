@@ -41,7 +41,7 @@ func Table1(opt Options) (Table1Result, error) {
 	rows, err := runner.Map(opt.Parallelism, table1Chains(),
 		func(_ int, c latencyChain) (Table1Row, error) {
 			w, chainOps := c.build()
-			res, err := model.NewAlpha(model.DefaultAlphaConfig()).Run(w)
+			res, err := model.MustBuild(model.DefaultAlphaConfig()).Run(w)
 			if err != nil {
 				return Table1Row{}, err
 			}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/microbench"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -44,11 +43,11 @@ type Table2Result struct {
 // All 4×21 cells run concurrently on the worker pool.
 func Table2(opt Options) (Table2Result, error) {
 	ws := opt.apply(microbench.Suite())
-	grids, err := runGrid(opt, []factory{
-		func() core.Machine { return model.NewNative() },
-		func() core.Machine { return model.NewAlpha(model.SimInitialConfig()) },
-		func() core.Machine { return model.NewAlpha(model.DefaultAlphaConfig()) },
-		func() core.Machine { return model.NewRUU(model.DefaultRUUConfig()) },
+	grids, err := runGrid(opt, []any{
+		model.DefaultNativeConfig(),
+		model.SimInitialConfig(),
+		model.DefaultAlphaConfig(),
+		model.DefaultRUUConfig(),
 	}, ws)
 	if err != nil {
 		return Table2Result{}, err

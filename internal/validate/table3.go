@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/macrobench"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -43,11 +42,11 @@ type Table3Result struct {
 // ~+37% (consistent overestimation).
 func Table3(opt Options) (Table3Result, error) {
 	ws := opt.apply(macrobench.Suite())
-	grids, err := runGrid(opt, []factory{
-		func() core.Machine { return model.NewNative() },
-		func() core.Machine { return model.NewAlpha(model.DefaultAlphaConfig()) },
-		func() core.Machine { return model.NewAlpha(model.SimStrippedConfig()) },
-		func() core.Machine { return model.NewRUU(model.DefaultRUUConfig()) },
+	grids, err := runGrid(opt, []any{
+		model.DefaultNativeConfig(),
+		model.DefaultAlphaConfig(),
+		model.SimStrippedConfig(),
+		model.DefaultRUUConfig(),
 	}, ws)
 	if err != nil {
 		return Table3Result{}, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/macrobench"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -35,15 +34,11 @@ type Table4Result struct {
 // cell runs concurrently on the worker pool.
 func Table4(opt Options) (Table4Result, error) {
 	ws := opt.apply(macrobench.Suite())
-	builds := []factory{
-		func() core.Machine { return model.NewAlpha(model.DefaultAlphaConfig()) },
-	}
+	cfgs := []any{model.DefaultAlphaConfig()}
 	for _, feat := range model.AlphaFeatures() {
-		builds = append(builds, func() core.Machine {
-			return model.NewAlpha(model.DefaultAlphaConfig().WithoutFeature(feat))
-		})
+		cfgs = append(cfgs, model.DefaultAlphaConfig().WithoutFeature(feat))
 	}
-	grids, err := runGrid(opt, builds, ws)
+	grids, err := runGrid(opt, cfgs, ws)
 	if err != nil {
 		return Table4Result{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/macrobench"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -31,15 +30,15 @@ type Table5Result struct {
 	Cells [][]Table5Cell
 }
 
-// table5Machine pairs a configuration name with factories for its
-// baseline and optimized variants.
+// table5Machine pairs a configuration name with its baseline and
+// optimized variant configs.
 type table5Machine struct {
-	name  string
-	build func(opt string) core.Machine
+	name    string
+	variant func(opt string) any
 }
 
-func alphaVariant(base model.AlphaConfig) func(opt string) core.Machine {
-	return func(opt string) core.Machine {
+func alphaVariant(base model.AlphaConfig) func(opt string) any {
+	return func(opt string) any {
 		cfg := base
 		switch opt {
 		case "":
@@ -50,12 +49,12 @@ func alphaVariant(base model.AlphaConfig) func(opt string) core.Machine {
 		case Table5Optimizations[2]:
 			cfg.RenameRegs = 80
 		}
-		return model.NewAlpha(cfg)
+		return cfg
 	}
 }
 
-func ruuVariant(base model.RUUConfig) func(opt string) core.Machine {
-	return func(opt string) core.Machine {
+func ruuVariant(base model.RUUConfig) func(opt string) any {
+	return func(opt string) any {
 		cfg := base
 		switch opt {
 		case "":
@@ -66,7 +65,7 @@ func ruuVariant(base model.RUUConfig) func(opt string) core.Machine {
 		case Table5Optimizations[2]:
 			cfg.RenameRegs = 80
 		}
-		return model.NewRUU(cfg)
+		return cfg
 	}
 }
 
@@ -83,8 +82,8 @@ func Table5(opt Options) (Table5Result, error) {
 	machines := []table5Machine{{"sim-alpha", alphaVariant(model.DefaultAlphaConfig())}}
 	for _, feat := range model.AlphaFeatures() {
 		machines = append(machines, table5Machine{
-			name:  feat,
-			build: alphaVariant(model.DefaultAlphaConfig().WithoutFeature(feat)),
+			name:    feat,
+			variant: alphaVariant(model.DefaultAlphaConfig().WithoutFeature(feat)),
 		})
 	}
 	machines = append(machines,
@@ -93,17 +92,17 @@ func Table5(opt Options) (Table5Result, error) {
 	)
 
 	// Flatten the (configuration × variant) plane into one grid: for
-	// configuration i, build i*(1+nOpts) is its baseline and build
+	// configuration i, config i*(1+nOpts) is its baseline and config
 	// i*(1+nOpts)+1+k its k-th optimization. Every (variant ×
 	// workload) cell then runs concurrently on the worker pool.
 	variants := append([]string{""}, Table5Optimizations...)
-	var builds []factory
+	var cfgs []any
 	for _, m := range machines {
 		for _, v := range variants {
-			builds = append(builds, func() core.Machine { return m.build(v) })
+			cfgs = append(cfgs, m.variant(v))
 		}
 	}
-	grids, err := runGrid(opt, builds, ws)
+	grids, err := runGrid(opt, cfgs, ws)
 	if err != nil {
 		return Table5Result{}, err
 	}

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/macrobench"
 	"repro/internal/model"
 	"repro/internal/simcache"
+	"repro/internal/sweep"
 )
 
 // quick caps run lengths so the whole experiment suite stays fast in
@@ -182,6 +184,21 @@ func TestDDRSpaceOriginIsDefault(t *testing.T) {
 	}
 	if got, want := simcache.Fingerprint(cfg), simcache.Fingerprint(model.SimAlphaDDRConfig()); got != want {
 		t.Errorf("ddrSpace origin fingerprint %s, sim-alpha-ddr %s", got, want)
+	}
+}
+
+// TestMappingConfigsKeyDistinctly: the mapping study's three machines
+// differ only in page mapping, so each must get its own cache key. A
+// mapper held in a closure fingerprinted alike for every policy.
+func TestMappingConfigsKeyDistinctly(t *testing.T) {
+	w := macrobench.Suite()[0]
+	seen := make(map[simcache.Key]int)
+	for i, cfg := range mappingConfigs() {
+		k := sweep.CellKey(cfg, w)
+		if j, dup := seen[k]; dup {
+			t.Errorf("mapping configs %d and %d share cell key %s", j, i, k)
+		}
+		seen[k] = i
 	}
 }
 

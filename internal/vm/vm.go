@@ -238,6 +238,51 @@ func (h *HashMapper) Frame(vpage uint64) uint64 {
 // Name implements Mapper.
 func (h *HashMapper) Name() string { return "hashed" }
 
+// Mapping names a page-mapping policy as a plain value, so a machine
+// configuration carrying one is fully described by its fields: two
+// configs that map pages differently fingerprint differently.
+type Mapping struct {
+	// Policy is the Mapper's Name: "sequential", "page-colored" or
+	// "hashed".
+	Policy string
+	// Colors is the page-color count of "page-colored", a power of
+	// two; the other policies ignore it.
+	Colors uint64
+	// Seed perturbs "hashed"; the other policies ignore it.
+	Seed uint64
+}
+
+// Check reports whether the mapping names a policy New can build.
+// Colors is bounded at 2^20: that many 8 KB colors span an 8 GB cache
+// way, far beyond any modeled L2.
+func (m Mapping) Check() error {
+	switch m.Policy {
+	case "sequential", "hashed":
+		return nil
+	case "page-colored":
+		if m.Colors == 0 || m.Colors > 1<<20 || m.Colors&(m.Colors-1) != 0 {
+			return fmt.Errorf("vm: page-colored Colors %d is not a power of two in [1,2^20]", m.Colors)
+		}
+		return nil
+	}
+	return fmt.Errorf("vm: unknown mapping policy %q (want sequential, page-colored or hashed)", m.Policy)
+}
+
+// New builds a fresh mapper for the policy. It panics on a mapping
+// that fails Check, which machine constructors have already run.
+func (m Mapping) New() Mapper {
+	if err := m.Check(); err != nil {
+		panic(err)
+	}
+	switch m.Policy {
+	case "page-colored":
+		return &ColorMapper{Colors: m.Colors}
+	case "hashed":
+		return &HashMapper{Seed: m.Seed}
+	}
+	return &SeqMapper{}
+}
+
 // Translate returns the physical address for vaddr under m.
 func Translate(m Mapper, vaddr uint64) uint64 {
 	return m.Frame(vaddr>>PageBits)<<PageBits | vaddr&PageMask

@@ -126,6 +126,38 @@ func TestHashMapperDeterministicAndUnique(t *testing.T) {
 	}
 }
 
+// TestMappingBuildsNamedPolicy checks that a Mapping's Policy is the
+// built Mapper's Name (checkpoint compat strings hash that name), and
+// that a degenerate mapping fails Check instead of panicking later.
+func TestMappingBuildsNamedPolicy(t *testing.T) {
+	for _, m := range []Mapping{
+		{Policy: "sequential"},
+		{Policy: "page-colored", Colors: 256},
+		{Policy: "hashed", Seed: 12345},
+	} {
+		if err := m.Check(); err != nil {
+			t.Fatalf("%+v: %v", m, err)
+		}
+		if got := m.New().Name(); got != m.Policy {
+			t.Errorf("%+v builds mapper %q", m, got)
+		}
+	}
+	if h, ok := (Mapping{Policy: "hashed", Seed: 7}).New().(*HashMapper); !ok || h.Seed != 7 {
+		t.Errorf("hashed mapping lost its seed: %#v", h)
+	}
+	for _, bad := range []Mapping{
+		{},
+		{Policy: "random"},
+		{Policy: "page-colored"},
+		{Policy: "page-colored", Colors: 3},
+		{Policy: "page-colored", Colors: 1 << 40},
+	} {
+		if err := bad.Check(); err == nil {
+			t.Errorf("%+v passed Check", bad)
+		}
+	}
+}
+
 func TestTranslatePreservesOffset(t *testing.T) {
 	var s SeqMapper
 	va := uint64(5*PageSize + 1234)

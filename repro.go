@@ -120,15 +120,13 @@ func FeatureNames() []string { return model.AlphaFeatures() }
 // event trace: one line per retired instruction (fetch/map/issue/
 // complete/retire cycles), the counterpart of SimpleScalar's ptrace.
 func SimAlphaTraced(w io.Writer) Machine {
-	cfg := model.DefaultAlphaConfig()
-	cfg.PipeTracer = model.AlphaPipeTraceWriter(w)
-	return model.NewAlpha(cfg)
+	return model.TraceAlpha(model.DefaultAlphaConfig(), w)
 }
 
 // SimAlphaWithout returns sim-alpha with one named feature disabled.
 // It panics on an unknown feature name; see FeatureNames.
 func SimAlphaWithout(feature string) Machine {
-	return model.NewAlpha(model.DefaultAlphaConfig().WithoutFeature(feature))
+	return model.MustBuild(model.DefaultAlphaConfig().WithoutFeature(feature))
 }
 
 // Microbenchmarks returns the paper's 21-benchmark validation suite
