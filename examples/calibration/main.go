@@ -43,11 +43,15 @@ func main() {
 	space := sweep.SimInitialBugSpace()
 	fmt.Printf("design space: %d axes, %d points\n", len(space.Axes), space.Size())
 
-	// The engine: the 21 microbenchmarks per point, memoized through a
-	// content-addressed cache shared by both descents below.
+	// The engine: the 21 microbenchmarks per point, each capped at the
+	// budget and memoized through a content-addressed cache shared by
+	// both descents below.
+	suite := microbench.Suite()
+	for i, w := range suite {
+		suite[i] = w.Capped(*limit)
+	}
 	eng := &sweep.Engine{
-		Workloads: microbench.Suite(),
-		Limit:     *limit,
+		Workloads: suite,
 		Cache:     simcache.New(4096),
 	}
 

@@ -20,16 +20,17 @@ import (
 	"repro/internal/vm"
 )
 
-// Features are the seven performance-enhancing mechanisms and three
+// Features are the performance-enhancing mechanisms and the three
 // performance constraints of the 21264 that Tables 4 and 5 toggle.
+// The seventh mechanism, the victim buffer, is sized by
+// Hier.VictimEntries rather than switched here.
 type Features struct {
-	JumpAdder    bool // addr: slot-stage adder overrides the line predictor early
-	EarlyRetire  bool // eret: unops removed in the map stage
-	LoadUseSpec  bool // luse: consumers issue speculatively assuming loads hit
-	IPrefetch    bool // pref: I-cache prefetches up to 4 lines on a miss
-	SpecUpdate   bool // spec: speculative update of line predictor, global history, RAS
-	StoreWait    bool // stwt: the store-wait predictor
-	VictimBuffer bool // vbuf: the 8-entry L1D victim buffer
+	JumpAdder   bool // addr: slot-stage adder overrides the line predictor early
+	EarlyRetire bool // eret: unops removed in the map stage
+	LoadUseSpec bool // luse: consumers issue speculatively assuming loads hit
+	IPrefetch   bool // pref: I-cache prefetches up to 4 lines on a miss
+	SpecUpdate  bool // spec: speculative update of line predictor, global history, RAS
+	StoreWait   bool // stwt: the store-wait predictor
 
 	MapStall     bool // maps: 3-cycle stall when free rename registers < 8
 	SlotRestrict bool // slot: static subcluster slotting restricts issue
@@ -41,8 +42,7 @@ func AllFeatures() Features {
 	return Features{
 		JumpAdder: true, EarlyRetire: true, LoadUseSpec: true,
 		IPrefetch: true, SpecUpdate: true, StoreWait: true,
-		VictimBuffer: true,
-		MapStall:     true, SlotRestrict: true, MboxTraps: true,
+		MapStall: true, SlotRestrict: true, MboxTraps: true,
 	}
 }
 
@@ -57,7 +57,9 @@ var FeatureNames = []string{
 	"maps", "slot", "trap",
 }
 
-// Without returns a copy of f with the named feature disabled.
+// Without returns a copy of f with the named feature disabled. The
+// victim buffer ("vbuf") is a hierarchy structure, not a flag, so it
+// leaves f unchanged; Config.WithoutFeature removes it.
 func (f Features) Without(name string) Features {
 	switch name {
 	case "addr":
@@ -73,7 +75,6 @@ func (f Features) Without(name string) Features {
 	case "stwt":
 		f.StoreWait = false
 	case "vbuf":
-		f.VictimBuffer = false
 	case "maps":
 		f.MapStall = false
 	case "slot":
@@ -141,26 +142,17 @@ func InitialBugs() Bugs {
 }
 
 // NativeExtras are the board- and OS-level behaviors of the real
-// DS-10L that sim-alpha does not model (Sections 4.1 and 5.1). The
-// reference machine enables them; no simulator does.
+// DS-10L that sim-alpha does not model (Sections 4.1 and 5.1) and
+// that no other config field expresses. The reference machine enables
+// them; no simulator does. Its other native behaviors live in the
+// fields that implement them (see NativeConfig): page coloring in
+// Mapping, the tuned memory controller in DRAM.ControllerCycles,
+// DRAM.PipelinedTransfer and DRAM.Banks, 32-byte trap detection in
+// TrapGranule, and the shared MAF in Hier.SharedMAF.
 type NativeExtras struct {
-	// PageColoring: the OS colors physical pages, controlling L2
-	// conflict behavior.
-	PageColoring bool
-	// ControllerPageOpt: the C/D-chip memory controller reorders to
-	// increase DRAM page hits (modeled as a page-hit bonus).
-	ControllerPageOpt bool
 	// PALTLBMiss: TLB misses run PAL code, stalling the pipeline, in
 	// addition to the table walk.
 	PALTLBMiss bool
-	// CoarseTrapGranularity: the hardware detects load-order
-	// conflicts at 32-byte granularity, trapping more often than
-	// exact-address comparison (the paper observed the native machine
-	// taking ~20% more replay traps on art).
-	CoarseTrapGranularity bool
-	// SharedMAF: one 8-entry MAF shared among the three caches,
-	// versus sim-alpha's per-cache MAFs.
-	SharedMAF bool
 }
 
 // Config fully describes one 21264-family machine.
@@ -344,14 +336,14 @@ func (c Config) WithoutFeature(name string) Config {
 func NativeConfig() Config {
 	cfg := DefaultConfig()
 	cfg.MachineName = "native-ds10l"
-	cfg.Extra = NativeExtras{
-		PageColoring:          true,
-		ControllerPageOpt:     true,
-		PALTLBMiss:            true,
-		CoarseTrapGranularity: true,
-		SharedMAF:             true,
-	}
+	cfg.Extra = NativeExtras{PALTLBMiss: true}
+	// One 8-entry MAF shared among the three caches, versus
+	// sim-alpha's per-cache MAFs.
 	cfg.Hier.SharedMAF = true
+	// The hardware detects load-order conflicts at 32-byte
+	// granularity, trapping more often than exact-address comparison
+	// (the paper observed the native machine taking ~20% more replay
+	// traps on art).
 	cfg.TrapGranule = 32
 	colors := uint64(cfg.Hier.L2.SizeBytes / cfg.Hier.L2.Assoc / vm.PageSize)
 	cfg.Mapping = vm.Mapping{Policy: "page-colored", Colors: colors}

@@ -80,6 +80,7 @@ func Drive(spec Spec, w Workload) (RunResult, error) {
 	} else {
 		src = w.Source()
 	}
+	stream := src
 	cur := newSampleCursor(w.Sample, k)
 	src = cur.wrap(src)
 	// Cold half of the checkpoint determinism invariant: consume the
@@ -93,6 +94,11 @@ func Drive(spec Spec, w Workload) (RunResult, error) {
 		k.Warm(rec)
 	}
 	cycles, retired, col, err := k.Time(src, cur)
+	// A stream that failed explains the run better than whatever the
+	// kernel made of its early end.
+	if serr := cpu.Err(stream); serr != nil {
+		err = serr
+	}
 	if err != nil {
 		return RunResult{}, fmt.Errorf("%s/%s: %w", spec.Machine, w.Name, err)
 	}

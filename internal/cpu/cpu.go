@@ -326,6 +326,19 @@ type Limited struct {
 	n   uint64
 }
 
+// Err forwards the wrapped source's error (see Err).
+func (l *Limited) Err() error { return Err(l.Src) }
+
+// Err reports why a source's stream ended, if it failed: the error of
+// a source that can fail (a CPU that faulted, a malformed trace), nil
+// for one that ran to its end.
+func Err(src Source) error {
+	if f, ok := src.(interface{ Err() error }); ok {
+		return f.Err()
+	}
+	return nil
+}
+
 // Next implements Source.
 func (l *Limited) Next() (Record, bool) {
 	if l.n >= l.Max {

@@ -24,6 +24,7 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/ddr"
 	"repro/internal/dram"
 	"repro/internal/events"
@@ -257,6 +258,9 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 			}
 		}
 		retired++
+	}
+	if err := cpu.Err(src); err != nil {
+		return core.RunResult{}, fmt.Errorf("%s/%s: %w", m.cfg.MachineName, w.Name, err)
 	}
 	if retired == 0 {
 		return core.RunResult{}, fmt.Errorf("interval: empty instruction stream")

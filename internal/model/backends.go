@@ -111,11 +111,6 @@ func TraceAlpha(cfg AlphaConfig, w io.Writer) core.Machine {
 	return alpha.NewTraced(cfg, alpha.PipeTraceWriter(w))
 }
 
-// NewNative builds the reference machine. The concrete type is
-// returned because the sampled-simulation experiments need its
-// RunExact method (the inner model without profiler distortion).
-func NewNative() *native.Machine { return native.New(native.DefaultConfig()) }
-
 // MeasureDCPI distorts an exact run result the way the emulated
 // profiler would measure it.
 func MeasureDCPI(cfg DCPIConfig, r core.RunResult) core.RunResult {

@@ -72,15 +72,3 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
 	return m.inner.RecordCheckpoints(w, positions)
 }
-
-// RunExact bypasses the profiler, returning true cycle counts; used
-// by tests that need to separate model differences from measurement
-// noise.
-func (m *Machine) RunExact(w core.Workload) (core.RunResult, error) {
-	res, err := m.inner.Run(w)
-	if err != nil {
-		return core.RunResult{}, err
-	}
-	res.Machine = m.Name()
-	return res, nil
-}

@@ -18,7 +18,8 @@ func TestNameAndMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := m.RunExact(w)
+	// An exact run is the inner model without the profiler.
+	exact, err := alpha.New(DefaultConfig().Model).Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +42,10 @@ func TestNativeDiffersFromSimAlpha(t *testing.T) {
 	// The reference machine and the validated simulator must disagree
 	// on memory-intensive work (the paper's residual macro error) but
 	// agree closely on cache-resident kernels.
-	nat := New(DefaultConfig())
+	nat := alpha.New(DefaultConfig().Model) // exact: no profiler
 	sim := alpha.New(alpha.DefaultConfig())
 	mm, _ := microbench.ByName("M-M")
-	nr, err := nat.RunExact(mm)
+	nr, err := nat.Run(mm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestNativeDiffersFromSimAlpha(t *testing.T) {
 			nr.IPC(), sr.IPC())
 	}
 	ed, _ := microbench.ByName("E-D1")
-	nr, _ = nat.RunExact(ed)
+	nr, _ = nat.Run(ed)
 	sr, _ = sim.Run(ed)
 	ratio := nr.IPC() / sr.IPC()
 	if ratio < 0.98 || ratio > 1.02 {

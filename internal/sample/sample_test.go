@@ -27,7 +27,7 @@ func machines() []core.Machine {
 		model.MustBuild(model.DefaultAlphaConfig()),
 		model.MustBuild(model.DefaultRUUConfig()),
 		model.MustBuild(model.DefaultInorderConfig()),
-		model.NewNative(),
+		model.MustBuild(model.DefaultNativeConfig()),
 	}
 }
 

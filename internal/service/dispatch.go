@@ -3,13 +3,13 @@
 // worker is just a simd/simw serving POST /v1/cell.
 //
 // A cell is the unit of distribution: one (machine config × workload
-// × budget) simulation, optionally under a sampling plan, described
-// by name and axis values rather than by Go config structs so it
-// crosses the wire as plain JSON. The worker rebuilds the exact
-// config through the same sweep mutation path the coordinator would
-// use locally, so local and remote cells produce identical result
-// bytes — which is what lets the coordinator fall back to local
-// execution at any point without changing results.
+// × budget) simulation, optionally under a sampling plan. It crosses
+// the wire as its config value: a registered backend's name, plus the
+// full config as JSON when it differs from that backend's. The worker
+// decodes the same config and so derives the coordinator's cache key
+// and computes identical result bytes — which is what lets the
+// coordinator fall back to local execution at any point without
+// changing results, and why coordinator and workers share one build.
 //
 // Failure model: a transport error marks the worker lost and retries
 // the cell on the next worker in shard order (the cell is
@@ -23,6 +23,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -30,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -41,14 +43,17 @@ import (
 )
 
 // CellRequest is the POST /v1/cell body: one simulation cell by
-// machine name, axis assignments (each axis carries exactly one
-// value — the cell's coordinate), workload name, and budget.
+// machine, workload name and budget. Config, when present, is the
+// cell's config as JSON, decoded strictly over a copy of the
+// machine's registered config: omitted fields keep their registered
+// values, so {"machine":"sim-alpha","config":{"ROB":20}} is the
+// ROB-20 point.
 type CellRequest struct {
 	Machine  string           `json:"machine"`
 	Workload string           `json:"workload"`
 	Limit    uint64           `json:"limit,omitempty"`
 	Sample   *core.SamplePlan `json:"sample,omitempty"`
-	Axes     []SweepAxis      `json:"axes,omitempty"`
+	Config   json.RawMessage  `json:"config,omitempty"`
 	// Generate carries a minted workload's generation spec: the worker
 	// regenerates the program deterministically from the spec (minted
 	// catalogues are per-process, so the name alone would not resolve
@@ -56,8 +61,50 @@ type CellRequest struct {
 	Generate *workgen.Spec `json:"generate,omitempty"`
 }
 
+// newCellRequest writes a cell for the wire. A config equal to a
+// registered backend's travels as that backend's name alone; any
+// other config travels in full, under the first registered backend of
+// its type (a full config overwrites every field, so the name only
+// fixes the type).
+func newCellRequest(cfg any, work core.Workload, gen *workgen.Spec) (CellRequest, error) {
+	req := CellRequest{
+		Workload: work.Name,
+		Limit:    work.MaxInstructions,
+		Sample:   work.Sample,
+		Generate: gen,
+	}
+	for _, d := range model.Backends() {
+		if d.Config == cfg {
+			req.Machine = d.Name
+			return req, nil
+		}
+		if req.Machine == "" && reflect.TypeOf(d.Config) == reflect.TypeOf(cfg) {
+			req.Machine = d.Name
+		}
+	}
+	var err error
+	req.Config, err = json.Marshal(cfg)
+	return req, err
+}
+
+// cellConfig reads a cell's config: the request's JSON decoded over a
+// copy of the machine's registered config. An unknown field, or a
+// value its field cannot hold, is an error.
+func cellConfig(base any, raw json.RawMessage) (any, error) {
+	cfg := reflect.New(reflect.TypeOf(base))
+	cfg.Elem().Set(reflect.ValueOf(base))
+	if len(raw) > 0 {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(cfg.Interface()); err != nil {
+			return nil, fmt.Errorf("config: %w", err)
+		}
+	}
+	return cfg.Elem().Interface(), nil
+}
+
 // handleCell is POST /v1/cell, the worker side of the distributed
-// tier: rebuild the cell's config, run it through the local
+// tier: read the cell's config, run it through the local
 // content-addressed cache, and return the marshaled core.RunResult.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var req CellRequest
@@ -96,23 +143,10 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cfg := spec.Config
-	if len(req.Axes) > 0 {
-		axes := make([]sweep.Axis, len(req.Axes))
-		for i, a := range req.Axes {
-			if len(a.Values) != 1 {
-				s.fail(w, http.StatusBadRequest, "cell axis %q carries %d values, want exactly 1", a.Name, len(a.Values))
-				return
-			}
-			axes[i] = sweep.Axis{Name: a.Name, Field: a.Field, Values: a.Values}
-		}
-		space := &sweep.Space{Base: spec.Config, Axes: axes}
-		pointCfg, err := space.Config(space.Origin())
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		cfg = pointCfg
+	cfg, err := cellConfig(spec.Config, req.Config)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	// Build before anything is cached or queued: a config outside its
 	// bounds is the client's error, answered without simulating.
@@ -134,58 +168,33 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	// cell, so worker caches line up shard-by-shard with sweeps.
 	key := sweep.CellKey(cfg, work)
 	s.serveCached(w, r, key, func() ([]byte, error) {
-		s.acquire()
-		defer s.release()
-		s.metrics.Counter("cells_simulated_total").Inc()
-		res, err := m.Run(work)
-		if err != nil {
-			return nil, err
-		}
-		s.recordSimEvents(res)
-		return json.Marshal(res)
+		return s.simulate(m, work)
 	}, "application/json")
 }
 
-// runCell produces one cell's result: dispatched to the worker tier
-// when one is configured — falling back to local execution on any
-// dispatch failure — and simulated locally otherwise. The response is
-// identical either way; only sim_event_* attribution moves (each
-// process records the events it simulated itself).
-func (s *Server) runCell(spec model.Descriptor, work core.Workload) (core.RunResult, error) {
+// runCell produces one cell's marshaled core.RunResult: dispatched to
+// the worker tier when there is one, and run in this process without
+// one or after any dispatch error, unless ctx is done. The bytes are
+// the same either way. A dispatched cell takes no simulation slot
+// here; its worker's pool bounds it.
+func (s *Server) runCell(ctx context.Context, cfg any, work core.Workload, gen *workgen.Spec) ([]byte, error) {
 	if s.dispatch != nil {
-		req := CellRequest{
-			Machine:  spec.Name,
-			Workload: work.Name,
-			Limit:    work.MaxInstructions,
-			Sample:   work.Sample,
+		req, err := newCellRequest(cfg, work, gen)
+		if err != nil {
+			return nil, err
 		}
-		// A minted workload travels as its generation spec so the
-		// worker can rebuild it without sharing our catalogue.
-		s.wlMu.RLock()
-		if wl, ok := s.byWork[work.Name]; ok && wl.gen != nil {
-			req.Generate = wl.gen
+		if body, err := s.dispatch.run(ctx, req); err == nil {
+			return body, nil
 		}
-		s.wlMu.RUnlock()
-		// context.Background: like a local computation, a dispatched
-		// cell outlives its request deadline to populate the cache.
-		if body, err := s.dispatch.run(context.Background(), req); err == nil {
-			var res core.RunResult
-			if err := json.Unmarshal(body, &res); err == nil {
-				return res, nil
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 	}
-	s.metrics.Counter("cells_simulated_total").Inc()
-	m, err := model.Build(spec.Config)
+	m, err := model.Build(cfg)
 	if err != nil {
-		return core.RunResult{}, err
+		return nil, err
 	}
-	res, err := m.Run(work)
-	if err != nil {
-		return core.RunResult{}, err
-	}
-	s.recordSimEvents(res)
-	return res, nil
+	return s.simulate(m, work)
 }
 
 // workerRef is one registered worker with its liveness state.

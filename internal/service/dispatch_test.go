@@ -3,14 +3,18 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/model"
+	"repro/internal/sweep"
 	"repro/internal/workgen"
 )
 
@@ -46,8 +50,7 @@ func newCoordinator(t *testing.T, stealAfter time.Duration, workers ...string) (
 
 func TestCellEndpoint(t *testing.T) {
 	_, ts := newWorker(t)
-	body := `{"machine": "sim-alpha", "workload": "C-Ca", "limit": 3000,
-		"axes": [{"name": "rob", "field": "ROB", "values": [20]}]}`
+	body := `{"machine": "sim-alpha", "workload": "C-Ca", "limit": 3000, "config": {"ROB": 20}}`
 	resp, err := http.Post(ts.URL+"/v1/cell", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -82,20 +85,25 @@ func TestCellEndpoint(t *testing.T) {
 			resp.StatusCode, resp.Header.Get("X-Simcache"))
 	}
 
-	// Bad cells are rejected, not simulated.
-	for name, bad := range map[string]string{
-		"unknown machine":  `{"machine": "sim-nope", "workload": "C-Ca"}`,
-		"unknown workload": `{"machine": "sim-alpha", "workload": "nope"}`,
-		"multi-value axis": `{"machine": "sim-alpha", "workload": "C-Ca", "axes": [{"name": "rob", "field": "ROB", "values": [20, 40]}]}`,
-		"bad field path":   `{"machine": "sim-alpha", "workload": "C-Ca", "axes": [{"name": "x", "field": "NoSuchKnob", "values": [1]}]}`,
+	// Bad cells are rejected, not simulated. The old axes form in
+	// particular must not run the registered config.
+	for name, bad := range map[string]struct {
+		body string
+		code int
+	}{
+		"unknown machine":  {`{"machine": "sim-nope", "workload": "C-Ca"}`, http.StatusNotFound},
+		"unknown workload": {`{"machine": "sim-alpha", "workload": "nope"}`, http.StatusNotFound},
+		"old axes form":    {`{"machine": "sim-alpha", "workload": "C-Ca", "axes": [{"name": "rob", "field": "ROB", "values": [20]}]}`, http.StatusBadRequest},
+		"bad field path":   {`{"machine": "sim-alpha", "workload": "C-Ca", "config": {"NoSuchKnob": 1}}`, http.StatusBadRequest},
+		"lossy value":      {`{"machine": "sim-alpha", "workload": "C-Ca", "config": {"ROB": 20.5}}`, http.StatusBadRequest},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/cell", "application/json", strings.NewReader(bad))
+		resp, err := http.Post(ts.URL+"/v1/cell", "application/json", strings.NewReader(bad.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Errorf("%s: accepted", name)
+		if resp.StatusCode != bad.code {
+			t.Errorf("%s: POST /v1/cell = %d, want %d", name, resp.StatusCode, bad.code)
 		}
 	}
 }
@@ -108,10 +116,10 @@ func TestCellEndpoint(t *testing.T) {
 func TestCellRejectsOutOfBoundsConfigs(t *testing.T) {
 	_, ts := newWorker(t)
 	for name, body := range map[string]string{
-		"huge ROB":         `{"machine":"sim-alpha","workload":"gzip","limit":1000,"axes":[{"name":"rob","field":"ROB","values":[68719476736]}]}`,
-		"huge L2 latency":  `{"machine":"sim-outorder","workload":"gzip","limit":2000,"axes":[{"name":"l2","field":"Hier.L2.HitLatency","values":[1099511627776]}]}`,
-		"negative bimodal": `{"machine":"sim-inorder","workload":"gzip","limit":1000,"axes":[{"name":"bim","field":"BimodalBits","values":[-1]}]}`,
-		"ROB below fetch":  `{"machine":"sim-alpha","workload":"gzip","limit":1000,"axes":[{"name":"rob","field":"ROB","values":[2]}]}`,
+		"huge ROB":         `{"machine":"sim-alpha","workload":"gzip","limit":1000,"config":{"ROB":68719476736}}`,
+		"huge L2 latency":  `{"machine":"sim-outorder","workload":"gzip","limit":2000,"config":{"Hier":{"L2":{"HitLatency":1099511627776}}}}`,
+		"negative bimodal": `{"machine":"sim-inorder","workload":"gzip","limit":1000,"config":{"BimodalBits":-1}}`,
+		"ROB below fetch":  `{"machine":"sim-alpha","workload":"gzip","limit":1000,"config":{"ROB":2}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/cell", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -365,5 +373,178 @@ func TestDispatchGeneratedCell(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("cell accepted a generate spec under the wrong workload name")
+	}
+}
+
+// TestDistributedSensitivityDispatchesReference: an analysis sweep's
+// reference cells ride the worker tier like its points, and the result
+// is the single node's.
+func TestDistributedSensitivityDispatchesReference(t *testing.T) {
+	req := SweepRequest{
+		Machine:   "sim-alpha",
+		Axes:      []SweepAxis{{Name: "rob", Field: "ROB", Values: []any{80, 20}}},
+		Analysis:  "sensitivity",
+		Workloads: []string{"E-I", "M-D"},
+		Limit:     3000,
+	}
+	_, solo := newTestServer(t)
+	w1, wts1 := newWorker(t)
+	coord, cts := newCoordinator(t, 30*time.Second, wts1.URL)
+
+	want := waitSweep(t, solo.URL, submitSweep(t, solo.URL, req).ID)
+	got := waitSweep(t, cts.URL, submitSweep(t, cts.URL, req).ID)
+	if want.Status != sweepDone || got.Status != sweepDone {
+		t.Fatalf("jobs = %q (%s) and %q (%s)", want.Status, want.Error, got.Status, got.Error)
+	}
+	a, _ := json.Marshal(want.Result.Sensitivity)
+	b, _ := json.Marshal(got.Result.Sensitivity)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("distributed sensitivity diverged from single-node:\n%s\nvs\n%s", a, b)
+	}
+	// Four point cells plus the two native-ds10l reference cells.
+	m := coord.Metrics()
+	if n := m.Counter("dispatch_cells_total").Value(); n != 6 {
+		t.Errorf("dispatch_cells_total = %d, want 6", n)
+	}
+	if n := m.Counter("cells_simulated_total").Value(); n != 0 {
+		t.Errorf("coordinator simulated %d cells itself, want 0", n)
+	}
+	if n := w1.Metrics().Counter("cells_simulated_total").Value(); n != 6 {
+		t.Errorf("worker simulated %d cells, want 6", n)
+	}
+}
+
+// TestCellConfigRoundTrip: for every registered backend, a changed
+// config crosses the wire in full, decodes equal to what was sent,
+// and the worker files the cell under the coordinator's key.
+func TestCellConfigRoundTrip(t *testing.T) {
+	ws, wts := newWorker(t)
+	work := ws.byWork["C-Ca"].w.Capped(1000)
+	for _, d := range model.Backends() {
+		field := "Hier.L2.HitLatency"
+		if _, ok := d.Config.(model.NativeConfig); ok {
+			field = "Model." + field
+		}
+		space := &sweep.Space{Base: d.Config, Axes: []sweep.Axis{sweep.Ints("l2", field, 17)}}
+		cfg, err := space.Config(space.Origin())
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if cfg == d.Config {
+			t.Fatalf("%s: %s = 17 is the registered value", d.Name, field)
+		}
+		req, err := newCellRequest(cfg, work, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if len(req.Config) == 0 {
+			t.Fatalf("%s: a changed config travelled without its config", d.Name)
+		}
+		base, err := model.ByName(req.Machine)
+		if err != nil {
+			t.Fatalf("%s: wire machine %q: %v", d.Name, req.Machine, err)
+		}
+		got, err := cellConfig(base.Config, req.Config)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if got != cfg {
+			t.Errorf("%s: decoded config differs from the one sent", d.Name)
+		}
+
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(wts.URL+"/v1/cell", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: POST /v1/cell = %d", d.Name, resp.StatusCode)
+		}
+		if key, want := resp.Header.Get("X-Simcache-Key"), sweep.CellKey(cfg, work).String(); key != want {
+			t.Errorf("%s: worker key %s, coordinator key %s", d.Name, key, want)
+		}
+	}
+}
+
+// TestCellConfigIsSweepPoint: a /v1/cell body carrying {"ROB":20} on
+// sim-alpha is tinySweep's rob=20 issue=4 cell on C-Ca: the node that
+// ran the sweep answers it from the same cache entry, and a fresh
+// worker computes the same bytes.
+func TestCellConfigIsSweepPoint(t *testing.T) {
+	s, ts := newTestServer(t)
+	if job := waitSweep(t, ts.URL, submitSweep(t, ts.URL, tinySweep).ID); job.Status != sweepDone {
+		t.Fatalf("sweep = %q (%s)", job.Status, job.Error)
+	}
+	space := &sweep.Space{Base: model.DefaultAlphaConfig(), Axes: []sweep.Axis{
+		sweep.Ints("rob", "ROB", 20), sweep.Ints("issue", "IntIssueWidth", 4),
+	}}
+	cfg, err := space.Config(space.Origin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKey := sweep.CellKey(cfg, s.byWork["C-Ca"].w.Capped(3000)).String()
+
+	body := `{"machine":"sim-alpha","workload":"C-Ca","limit":3000,"config":{"ROB":20}}`
+	post := func(url string) (string, string, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/cell", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/cell = %d: %s", resp.StatusCode, out)
+		}
+		return resp.Header.Get("X-Simcache"), resp.Header.Get("X-Simcache-Key"), out
+	}
+	status, key, swept := post(ts.URL)
+	if status != "hit" || key != wantKey {
+		t.Fatalf("cell after the sweep: X-Simcache %q key %s, want hit under %s", status, key, wantKey)
+	}
+	_, wts := newWorker(t)
+	status, key, fresh := post(wts.URL)
+	if status != "miss" || key != wantKey {
+		t.Fatalf("cell on a fresh worker: X-Simcache %q key %s, want miss under %s", status, key, wantKey)
+	}
+	if !bytes.Equal(swept, fresh) {
+		t.Fatalf("fresh cell bytes differ from the sweep's:\n%s\nvs\n%s", fresh, swept)
+	}
+}
+
+// TestRunDispatchBody: /v1/run dispatches its cell as the registered
+// machine's name with no config, byte for byte the body the worker
+// tier has always read. The fake worker captures each body and
+// refuses the cell, so the run completes locally.
+func TestRunDispatchBody(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		got = append(got, string(b))
+		mu.Unlock()
+		http.Error(w, "captured", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(fake.Close)
+	_, cts := newCoordinator(t, 30*time.Second, fake.URL)
+
+	want := []string{
+		`{"machine":"sim-alpha","workload":"C-Ca","limit":3000}`,
+		`{"machine":"sim-alpha","workload":"M-D","limit":30000,"sample":{"period":3000,"warmup":300,"measure":300}}`,
+	}
+	for _, q := range []string{
+		"/v1/run?machine=sim-alpha&workload=C-Ca&limit=3000",
+		"/v1/run?machine=sim-alpha&workload=M-D&limit=30000&sample=true&sample_period=3000&sample_warmup=300&sample_measure=300",
+	} {
+		if code, _, body := get(t, cts.URL+q); code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", q, code, body)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("dispatched bodies:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -24,6 +24,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -571,10 +572,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.serveCached(w, r, key, func() ([]byte, error) {
-		s.acquire()
-		defer s.release()
-		res, err := s.runCell(spec, work)
+		// context.Background: like a local computation, a dispatched
+		// cell outlives its request deadline to populate the cache.
+		body, err := s.runCell(context.Background(), spec.Config, work, wl.gen)
 		if err != nil {
+			return nil, err
+		}
+		var res core.RunResult
+		if err := json.Unmarshal(body, &res); err != nil {
 			return nil, err
 		}
 		resp := RunResponse{
@@ -609,6 +614,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return json.Marshal(resp)
 	}, "application/json")
+}
+
+// simulate is the one local cell path: it takes a simulation slot,
+// counts the cell, runs it, records its events and returns the
+// marshaled result.
+func (s *Server) simulate(m core.Machine, work core.Workload) ([]byte, error) {
+	s.acquire()
+	defer s.release()
+	s.metrics.Counter("cells_simulated_total").Inc()
+	res, err := m.Run(work)
+	if err != nil {
+		return nil, err
+	}
+	s.recordSimEvents(res)
+	return json.Marshal(res)
 }
 
 // recordSimEvents aggregates one cold run's schema counters and CPI
@@ -741,11 +761,15 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 // sweep over a generated family, is a few kilobytes.
 const maxBodyBytes = 1 << 20
 
-// decode reads a JSON request body of at most maxBodyBytes into v. On
+// decode reads a JSON request body of at most maxBodyBytes into v.
+// Decoding is strict: a field v does not declare is an error, so a
+// misspelt option can never run a request as if it were absent. On
 // failure it answers the request itself, 413 past the bound and 400
 // otherwise, and reports false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}

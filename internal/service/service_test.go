@@ -512,3 +512,29 @@ func TestPostBodyBound(t *testing.T) {
 		}
 	}
 }
+
+// TestPostRejectsUnknownFields: every POST route decodes strictly, so
+// a misspelt option is a 400 instead of a request run as if the
+// option were absent.
+func TestPostRejectsUnknownFields(t *testing.T) {
+	s, ts := newTestServer(t)
+	for route, body := range map[string]string{
+		"/v1/run":                `{"machine":"sim-alpha","workload":"C-Ca","limit":3000,"sample_perod":3000}`,
+		"/v1/cell":               `{"machine":"sim-alpha","workload":"C-Ca","limit":3000,"axes":[{"name":"rob","field":"ROB","values":[20]}]}`,
+		"/v1/sweep":              `{"axes":[{"name":"rob","field":"ROB","values":[80,20]}],"workloads":["C-Ca"],"limt":3000}`,
+		"/v1/workloads/generate": `{"spec":{"seed":7,"iters":400,"branch_entropy":25,"branch_period":4,"working_set_kb":16,"chase_depth":2,"ilp_width":4,"conflict_stride_kb":32},"famly":{}}`,
+	} {
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", route, err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "unknown field") {
+			t.Errorf("POST %s with an unknown field = %d %s, want 400", route, resp.StatusCode, out)
+		}
+	}
+	if n := s.Metrics().Counter("cells_simulated_total").Value(); n != 0 {
+		t.Errorf("rejected requests simulated %d cells", n)
+	}
+}

@@ -2,11 +2,12 @@
 // exploration visits hundreds of (point × workload) cells, far past
 // any sane request deadline, so /v1/sweep is a job API rather than a
 // blocking route: POST validates the whole request synchronously
-// (space check, point budget, workload names) and returns 202 with a
-// job ID; GET polls status and, on completion, the full result;
-// DELETE cancels. Jobs share the server's content-addressed cache, so
-// a re-POSTed sweep — or one overlapping an earlier sweep's cells —
-// is answered almost entirely from memory.
+// (space check, point budget, every point's config Check, workload
+// names) and returns 202 with a job ID; GET polls status and, on
+// completion, the full result; DELETE cancels. Jobs share the
+// server's content-addressed cache, so a re-POSTed sweep — or one
+// overlapping an earlier sweep's cells — is answered almost entirely
+// from memory.
 package service
 
 import (
@@ -193,7 +194,7 @@ type sweepPlan struct {
 	space     *sweep.Space
 	pts       []sweep.Point // nil for calibration (descent enumerates)
 	strategy  string
-	workloads []core.Workload
+	workloads []core.Workload // capped at the request's limit
 	// gen maps workload name → generation spec for suite members the
 	// job synthesized inline (req.Generate) or resolved to minted
 	// catalogue entries, so remote cells can rebuild them by spec.
@@ -255,7 +256,7 @@ func (s *Server) planSweep(req SweepRequest) (sweepPlan, int, error) {
 	if len(req.Workloads) == 0 && req.Generate == nil {
 		for _, name := range s.wlOrder {
 			if spec := s.byWork[name]; spec.suite == "micro" {
-				plan.workloads = append(plan.workloads, spec.w)
+				plan.workloads = append(plan.workloads, spec.w.Capped(req.Limit))
 			}
 		}
 	} else {
@@ -270,7 +271,7 @@ func (s *Server) planSweep(req SweepRequest) (sweepPlan, int, error) {
 				return plan, http.StatusBadRequest, fmt.Errorf("duplicate workload %q", name)
 			}
 			seen[name] = true
-			plan.workloads = append(plan.workloads, spec.w)
+			plan.workloads = append(plan.workloads, spec.w.Capped(req.Limit))
 			if spec.gen != nil {
 				plan.gen[name] = spec.gen
 			}
@@ -296,7 +297,7 @@ func (s *Server) planSweep(req SweepRequest) (sweepPlan, int, error) {
 			}
 			seen[wk.Name] = true
 			sp := sp
-			plan.workloads = append(plan.workloads, wk)
+			plan.workloads = append(plan.workloads, wk.Capped(req.Limit))
 			plan.gen[wk.Name] = &sp
 		}
 	}
@@ -358,6 +359,28 @@ func (s *Server) planSweep(req SweepRequest) (sweepPlan, int, error) {
 		return plan, http.StatusBadRequest,
 			fmt.Errorf("sweep visits up to %d points, server bound is %d (shrink the space, sample with strategy=random, or lower max_rounds)",
 				plan.points, maxPts)
+	}
+
+	// Every point's config must pass its Check now, so an out-of-range
+	// point is a 400 at submit rather than a failed job. Calibration
+	// enumerates as it descends, so its one-factor-at-a-time points
+	// stand in: they reach every axis value, though a bound crossed
+	// only by combining axes can still fail mid-descent.
+	pts := plan.pts
+	if req.Analysis == "calibration" {
+		var err error
+		if pts, err = (sweep.OneFactorAtATime{}).Enumerate(plan.space); err != nil {
+			return plan, http.StatusBadRequest, err
+		}
+	}
+	for _, p := range pts {
+		cfg, err := plan.space.Config(p)
+		if c, ok := cfg.(interface{ Check() error }); ok && err == nil {
+			err = c.Check()
+		}
+		if err != nil {
+			return plan, http.StatusBadRequest, fmt.Errorf("point %s: %w", plan.space.Label(p), err)
+		}
 	}
 	plan.req.Machine = machine
 	return plan, 0, nil
@@ -458,34 +481,16 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepTask, plan sweepPlan
 	defer func() { <-s.sweepSem }()
 	job.setStatus(sweepRunning)
 
+	// Every cell, reference cells included, runs through runCell.
+	// Generated members travel as their spec: a worker's catalogue
+	// has no minted entries.
 	eng := &sweep.Engine{
 		Workloads:   plan.workloads,
-		Limit:       plan.req.Limit,
 		Parallelism: s.cfg.Parallelism,
 		Cache:       s.cache,
-	}
-	if s.dispatch != nil {
-		// Shard the sweep's cells over the worker tier: each cell
-		// crosses the wire as its machine name plus single-value axes,
-		// and the worker rebuilds the identical config. A dispatch
-		// failure falls back to local execution inside the engine.
-		eng.Remote = func(ctx context.Context, sp *sweep.Space, p sweep.Point, w core.Workload) ([]byte, error) {
-			axes := make([]SweepAxis, len(sp.Axes))
-			for i, a := range sp.Axes {
-				axes[i] = SweepAxis{Name: a.Name, Field: a.Field, Values: []any{a.Values[p[i]]}}
-			}
-			return s.dispatch.run(ctx, CellRequest{
-				Machine:  plan.req.Machine,
-				Workload: w.Name,
-				Limit:    w.MaxInstructions,
-				Sample:   w.Sample,
-				Axes:     axes,
-				// Generated members travel as their spec: the worker's
-				// catalogue has no minted entries, so it rebuilds the
-				// program deterministically from the spec.
-				Generate: plan.gen[w.Name],
-			})
-		}
+		Exec: func(ctx context.Context, cfg any, w core.Workload) ([]byte, error) {
+			return s.runCell(ctx, cfg, w, plan.gen[w.Name])
+		},
 	}
 
 	var ref []core.RunResult

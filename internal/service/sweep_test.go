@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -132,6 +133,47 @@ func TestSweepGridJob(t *testing.T) {
 	}
 }
 
+// TestSweepLocalCellsShareSimulationSlots: cells a sweep runs in this
+// process take the server's simulation slots, so with one slot and a
+// four-wide engine the cells queue behind each other, as /v1/run's
+// would behind them.
+func TestSweepLocalCellsShareSimulationSlots(t *testing.T) {
+	s := New(Config{
+		CacheEntries:   64,
+		MaxConcurrent:  1,
+		RequestTimeout: 60 * time.Second,
+		Parallelism:    4,
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	done := waitSweep(t, ts.URL, submitSweep(t, ts.URL, tinySweep).ID)
+	if done.Status != sweepDone {
+		t.Fatalf("job = %q (%s), want done", done.Status, done.Error)
+	}
+	if n := s.Metrics().Counter("pool_wait_total").Value(); n == 0 {
+		t.Fatal("pool_wait_total = 0: sweep cells ran outside the simulation slots")
+	}
+}
+
+// TestSweepLocalCellsCounted: every cell a sweep simulates in this
+// process counts in cells_simulated_total, and its events reach the
+// sim_cycles_* totals.
+func TestSweepLocalCellsCounted(t *testing.T) {
+	s, ts := newTestServer(t)
+	done := waitSweep(t, ts.URL, submitSweep(t, ts.URL, tinySweep).ID)
+	if done.Status != sweepDone {
+		t.Fatalf("job = %q (%s), want done", done.Status, done.Error)
+	}
+	want := uint64(done.Cells - done.CacheHits)
+	if got := s.Metrics().Counter("cells_simulated_total").Value(); want != 8 || got != want {
+		t.Fatalf("cells_simulated_total = %d, job simulated %d cells, want 8", got, want)
+	}
+	_, _, body := get(t, ts.URL+"/metrics")
+	if !regexp.MustCompile(`(?m)^sim_cycles_\w+_total [1-9]`).Match(body) {
+		t.Fatalf("no sim_cycles_*_total above 0 after a local sweep:\n%s", body)
+	}
+}
+
 func TestSweepSensitivityJob(t *testing.T) {
 	_, ts := newTestServer(t)
 	info := submitSweep(t, ts.URL, SweepRequest{
@@ -233,6 +275,8 @@ func TestSweepValidationErrors(t *testing.T) {
 		{"unknown analysis", `{"axes": [{"name": "a", "field": "ROB", "values": [80, 40]}], "analysis": "ouija"}`, http.StatusBadRequest},
 		{"unknown reference", `{"axes": [{"name": "a", "field": "ROB", "values": [80, 40]}], "analysis": "sensitivity", "reference": "sim-nope"}`, http.StatusNotFound},
 		{"calibration needs axes for non-initial machines", `{"machine": "sim-alpha", "analysis": "calibration"}`, http.StatusBadRequest},
+		{"grid point fails Check", `{"axes": [{"name": "rob", "field": "ROB", "values": [80, 2]}], "workloads": ["C-Ca"]}`, http.StatusBadRequest},
+		{"calibration point fails Check", `{"axes": [{"name": "rob", "field": "ROB", "values": [80, 68719476736]}], "analysis": "calibration", "workloads": ["C-Ca"]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

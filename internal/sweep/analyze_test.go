@@ -25,8 +25,7 @@ func TestSensitivityRanking(t *testing.T) {
 		},
 	}
 	e := &Engine{
-		Workloads: testWorkloads(t, "E-I", "E-D1", "C-Ca"),
-		Limit:     6000,
+		Workloads: capped(6000, testWorkloads(t, "E-I", "E-D1", "C-Ca")),
 		Cache:     simcache.New(0),
 	}
 	res, err := Sensitivity(context.Background(), e, s, nil, nil)
@@ -62,8 +61,7 @@ func TestSensitivityWithReference(t *testing.T) {
 		},
 	}
 	e := &Engine{
-		Workloads: testWorkloads(t, "C-Ca", "C-Cb", "C-S1"),
-		Limit:     6000,
+		Workloads: capped(6000, testWorkloads(t, "C-Ca", "C-Cb", "C-S1")),
 		Cache:     simcache.New(0),
 	}
 	ctx := context.Background()
@@ -101,8 +99,7 @@ func TestCalibrationConvergesFromSimInitial(t *testing.T) {
 	s := SimInitialBugSpace()
 	cache := simcache.New(8192)
 	e := &Engine{
-		Workloads: microbench.Suite(),
-		Limit:     8000,
+		Workloads: capped(8000, microbench.Suite()),
 		Cache:     cache,
 	}
 	ctx := context.Background()

@@ -18,31 +18,21 @@ import (
 // memoized through the content-addressed cache so overlapping sweeps
 // (or a re-run of the same sweep) re-pay nothing.
 type Engine struct {
-	// Workloads is the suite every point runs.
+	// Workloads is the suite every point runs, each under its own
+	// budget and sampling plan (see core.Workload.Capped and Sample).
 	Workloads []core.Workload
-	// Limit caps dynamic instructions per run (0 = workload length).
-	Limit uint64
 	// Parallelism is the worker-pool width (0 = GOMAXPROCS). It never
 	// affects results or cache keys.
 	Parallelism int
 	// Cache memoizes cell results by the canonical fingerprint of
 	// (config, workload, budget). Nil disables memoization.
 	Cache *simcache.Cache
-	// Sample, when set, runs every cell under interval sampling: the
-	// sweep explores the same design space at the plan's fraction of
-	// the detailed-simulation cost, and the plan joins each cell's
-	// cache address so sampled cells never collide with full ones.
-	Sample *core.SamplePlan
-	// Remote, when set, executes a cell on a remote worker instead of
-	// building and running the machine locally: it receives the
-	// cell's space, point, and budgeted workload and returns the
-	// marshaled core.RunResult bytes the worker produced. A remote
-	// error falls back to local execution (the dispatch layer has
-	// already exhausted its retries by then), so a dying worker tier
-	// degrades a sweep to single-node instead of failing it.
-	// Determinism makes the two paths interchangeable: local and
-	// remote cells produce identical result bytes.
-	Remote func(ctx context.Context, s *Space, p Point, w core.Workload) ([]byte, error)
+	// Exec, when set, produces every cell's marshaled core.RunResult,
+	// sweep points and Reference cells alike, in place of running the
+	// machine here. The engine does no fallback of its own: Exec
+	// decides where a cell runs, and cells are deterministic, so the
+	// bytes never depend on where.
+	Exec func(ctx context.Context, cfg any, w core.Workload) ([]byte, error)
 }
 
 // PointResult is one explored point with its per-workload results
@@ -80,19 +70,6 @@ func (s Stats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.CacheHits) / float64(s.Cells)
-}
-
-// limited returns the engine's workloads with the instruction budget
-// applied (a fresh slice; the originals are never mutated).
-func (e *Engine) limited() []core.Workload {
-	ws := make([]core.Workload, len(e.Workloads))
-	for i, w := range e.Workloads {
-		ws[i] = w.Capped(e.Limit)
-		if e.Sample != nil {
-			ws[i].Sample = e.Sample
-		}
-	}
-	return ws
 }
 
 // CellKey content-addresses one sweep cell: the canonical fingerprint
@@ -135,13 +112,7 @@ func (e *Engine) Run(ctx context.Context, s *Space, pts []Point) ([]PointResult,
 		}
 		cfgs[i] = cfg
 	}
-	var remote func(ctx context.Context, i int, w core.Workload) ([]byte, error)
-	if e.Remote != nil {
-		remote = func(ctx context.Context, i int, w core.Workload) ([]byte, error) {
-			return e.Remote(ctx, s, pts[i], w)
-		}
-	}
-	rows, st, err := e.cells(ctx, cfgs, remote)
+	rows, st, err := e.RunConfigs(ctx, cfgs)
 	if err != nil {
 		return nil, st, err
 	}
@@ -150,14 +121,6 @@ func (e *Engine) Run(ctx context.Context, s *Space, pts []Point) ([]PointResult,
 		out[i] = PointResult{Point: p.Clone(), Label: s.Label(p), Results: rows[i]}
 	}
 	return out, st, nil
-}
-
-// RunConfigs runs every config's full workload suite and returns one
-// result row per config (parallel to Workloads), in config order,
-// with cell accounting. Each cell builds its machine with model.Build,
-// so a config failing its Check fails the run with an error.
-func (e *Engine) RunConfigs(ctx context.Context, cfgs []any) ([][]core.RunResult, Stats, error) {
-	return e.cells(ctx, cfgs, nil)
 }
 
 // Reference runs one config — the machine an analysis measures
@@ -171,18 +134,20 @@ func (e *Engine) Reference(ctx context.Context, cfg any) ([]core.RunResult, erro
 	return rows[0], nil
 }
 
-// cells is the engine's one cell loop: every (config × workload) cell
-// on the worker pool, merged by cell index so results are
-// deterministic at any parallelism. remote, when set, dispatches
-// config i's cell on a workload to a worker, falling back to local
-// execution on failure. Without a cache or a remote, a cell returns
-// the machine's RunResult directly: bytes exist only where the cache
-// stores them or a worker sends them.
-func (e *Engine) cells(ctx context.Context, cfgs []any, remote func(ctx context.Context, i int, w core.Workload) ([]byte, error)) ([][]core.RunResult, Stats, error) {
-	if len(e.Workloads) == 0 {
+// RunConfigs is the engine's one cell loop: it runs every config's
+// full workload suite and returns one result row per config (parallel
+// to Workloads), in config order, with cell accounting. Cells fan out
+// on the worker pool and merge by cell index, so results are
+// deterministic at any parallelism. A cell without Exec builds its
+// machine with model.Build, so a config failing its Check fails the
+// run with an error. Without a cache or Exec, a cell returns the
+// machine's RunResult directly: bytes exist only where the cache
+// stores them or Exec produces them.
+func (e *Engine) RunConfigs(ctx context.Context, cfgs []any) ([][]core.RunResult, Stats, error) {
+	ws := e.Workloads
+	if len(ws) == 0 {
 		return nil, Stats{}, fmt.Errorf("sweep: engine has no workloads")
 	}
-	ws := e.limited()
 
 	type cell struct{ c, w int }
 	cells := make([]cell, 0, len(cfgs)*len(ws))
@@ -198,18 +163,13 @@ func (e *Engine) cells(ctx context.Context, cfgs []any, remote func(ctx context.
 			return core.RunResult{}, err
 		}
 		cfg, w := cfgs[c.c], ws[c.w]
-		if e.Cache == nil && remote == nil {
+		if e.Cache == nil && e.Exec == nil {
 			return runLocal(cfg, w)
 		}
 		// compute produces the cell's canonical result bytes.
 		compute := func() ([]byte, error) {
-			if remote != nil {
-				if body, rerr := remote(ctx, c.c, w); rerr == nil {
-					return body, nil
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+			if e.Exec != nil {
+				return e.Exec(ctx, cfg, w)
 			}
 			r, err := runLocal(cfg, w)
 			if err != nil {
@@ -231,7 +191,7 @@ func (e *Engine) cells(ctx context.Context, cfgs []any, remote func(ctx context.
 		if err != nil {
 			return core.RunResult{}, err
 		}
-		// Hit, miss and remote all decode the stored bytes, so the
+		// Hit, miss and Exec all decode the stored bytes, so the
 		// paths can never diverge.
 		var r core.RunResult
 		if err := json.Unmarshal(body, &r); err != nil {

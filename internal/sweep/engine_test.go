@@ -2,6 +2,9 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -23,10 +26,17 @@ func testWorkloads(t *testing.T, names ...string) []core.Workload {
 	return out
 }
 
+// capped gives every workload the same instruction budget.
+func capped(limit uint64, ws []core.Workload) []core.Workload {
+	for i := range ws {
+		ws[i] = ws[i].Capped(limit)
+	}
+	return ws
+}
+
 func testEngine(t *testing.T) *Engine {
 	return &Engine{
-		Workloads: testWorkloads(t, "C-Ca", "E-I", "M-D"),
-		Limit:     4000,
+		Workloads: capped(4000, testWorkloads(t, "C-Ca", "E-I", "M-D")),
 		Cache:     simcache.New(0),
 	}
 }
@@ -123,8 +133,8 @@ func TestEngineParallelismInvariance(t *testing.T) {
 	pts, _ := Grid{}.Enumerate(s)
 	ctx := context.Background()
 
-	serial := &Engine{Workloads: testWorkloads(t, "C-Ca", "M-D"), Limit: 3000, Parallelism: 1}
-	wide := &Engine{Workloads: testWorkloads(t, "C-Ca", "M-D"), Limit: 3000, Parallelism: 8}
+	serial := &Engine{Workloads: capped(3000, testWorkloads(t, "C-Ca", "M-D")), Parallelism: 1}
+	wide := &Engine{Workloads: capped(3000, testWorkloads(t, "C-Ca", "M-D")), Parallelism: 8}
 	a, _, err := serial.Run(ctx, s, pts)
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +177,48 @@ func TestEngineRejectsDegeneratePointConfigs(t *testing.T) {
 	}
 }
 
+// TestEngineExecRunsEveryCell: Exec produces sweep points and
+// reference cells alike, and its bytes decode to what a local cell
+// returns.
+func TestEngineExecRunsEveryCell(t *testing.T) {
+	s := tuningSpace()
+	pts, err := (OneFactorAtATime{}).Enumerate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var calls atomic.Int64
+	e := testEngine(t)
+	e.Cache = nil
+	e.Exec = func(_ context.Context, cfg any, w core.Workload) ([]byte, error) {
+		calls.Add(1)
+		r, err := runLocal(cfg, w)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(r)
+	}
+	got, st, err := e.Run(ctx, s, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Reference(ctx, refConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(st.Cells + len(e.Workloads)); calls.Load() != want {
+		t.Errorf("Exec ran %d cells, want %d (points and reference)", calls.Load(), want)
+	}
+	local := testEngine(t)
+	local.Cache = nil
+	want, _, err := local.Run(ctx, s, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("Exec cells differ from local cells")
+	}
+}
+
 func TestReference(t *testing.T) {
 	e := testEngine(t)
 	ref, err := e.Reference(context.Background(), refConfig())
@@ -183,9 +235,9 @@ func TestReference(t *testing.T) {
 	}
 }
 
-// TestEngineSampledSweep: an engine with a sampling plan explores the
+// TestEngineSampledSweep: workloads with a sampling plan explore the
 // same design space at a fraction of the detailed-simulation cost,
-// its cells live under distinct cache addresses from the full cells
+// their cells live under distinct cache addresses from the full cells
 // (sharing one cache with a full sweep produces zero cross-hits), and
 // the sampling record survives the cache round-trip.
 func TestEngineSampledSweep(t *testing.T) {
@@ -207,7 +259,9 @@ func TestEngineSampledSweep(t *testing.T) {
 	plan := core.SamplePlan{Period: 500, Warmup: 25, Measure: 25}
 	sampled := testEngine(t)
 	sampled.Cache = cache
-	sampled.Sample = &plan
+	for i := range sampled.Workloads {
+		sampled.Workloads[i].Sample = &plan
+	}
 	prs, st, err := sampled.Run(ctx, s, pts)
 	if err != nil {
 		t.Fatal(err)

@@ -257,8 +257,8 @@ func TestModelFingerprintsUnchanged(t *testing.T) {
 		cfg  any
 		want string
 	}{
-		"sim-alpha":    {model.DefaultAlphaConfig(), "b402dc45f9366e1369f5ce6fe9f20e08e3d0c238a96e19534eae99ba56ad0897"},
-		"sim-initial":  {model.SimInitialConfig(), "5ec280d424d2dcc2c9e9feb32ee20abcc58bef741d021e72e90229fd079aa743"},
+		"sim-alpha":    {model.DefaultAlphaConfig(), "0f060d28b20ca3870e7d04aac828e2be5d08c28f2b469601f72cf519550ce1e7"},
+		"sim-initial":  {model.SimInitialConfig(), "7f668a90f3554115f5a251b3438df7acdb6dfdf2230645cbd618b0655051b2d4"},
 		"sim-outorder": {model.DefaultRUUConfig(), "29e8a26f889057562ae9ff3b7d560fa9349fac14a26d32418b2fc85adaecd093"},
 		"sim-inorder":  {model.DefaultInorderConfig(), "af1f656c191e77a2f1d6bf4211eac60e3e26c0ae9f5a43a9a5c14e42288427fb"},
 	}

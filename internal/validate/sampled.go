@@ -8,7 +8,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/macrobench"
 	"repro/internal/model"
-	"repro/internal/runner"
 	"repro/internal/sample"
 	"repro/internal/stats"
 )
@@ -56,24 +55,21 @@ func Sampled(opt Options) (SampledResult, error) {
 	ws := opt.apply(macrobench.Suite())
 	plan := sample.PlanFor(opt.Limit)
 
-	// Two cells per workload — full then sampled — fanned across the
-	// worker pool and merged by index, like every grid experiment.
-	type cell struct {
-		w       int
-		sampled bool
+	// Two sim-alpha grids over the same workloads: in full, and each
+	// under its own plan (runGrid keys results by workload name, so
+	// the two runs of one workload need two grids).
+	sws := make([]core.Workload, len(ws))
+	for i, w := range ws {
+		p := sample.PlanFor(w.MaxInstructions)
+		sws[i] = w
+		sws[i].Sample = &p
 	}
-	cells := make([]cell, 0, 2*len(ws))
-	for i := range ws {
-		cells = append(cells, cell{i, false}, cell{i, true})
+	cfgs := []any{model.DefaultAlphaConfig()}
+	fullGrid, err := runGrid(opt, cfgs, ws)
+	if err != nil {
+		return SampledResult{}, err
 	}
-	res, err := runner.Map(opt.Parallelism, cells, func(_ int, c cell) (core.RunResult, error) {
-		w := ws[c.w]
-		if c.sampled {
-			p := sample.PlanFor(w.MaxInstructions)
-			w.Sample = &p
-		}
-		return model.MustBuild(model.DefaultAlphaConfig()).Run(w)
-	})
+	sampledGrid, err := runGrid(opt, cfgs, sws)
 	if err != nil {
 		return SampledResult{}, err
 	}
@@ -81,14 +77,11 @@ func Sampled(opt Options) (SampledResult, error) {
 	out := SampledResult{Plan: plan}
 	var absErrs []float64
 	var stream, detailed uint64
-	for i, c := range cells {
-		if c.sampled {
-			continue
-		}
-		full, sampled := res[i], res[i+1]
+	for _, w := range ws {
+		full, sampled := fullGrid[0][w.Name], sampledGrid[0][w.Name]
 		est, err := sample.FromResult(sampled, sample.DefaultLevel)
 		if err != nil {
-			return SampledResult{}, fmt.Errorf("%s: %w", ws[c.w].Name, err)
+			return SampledResult{}, fmt.Errorf("%s: %w", w.Name, err)
 		}
 		fcpi := full.CPI()
 		top := events.CompBase
@@ -98,7 +91,7 @@ func Sampled(opt Options) (SampledResult, error) {
 			}
 		}
 		row := SampledRow{
-			Name:    ws[c.w].Name,
+			Name:    w.Name,
 			FullCPI: fcpi,
 			CPI:     est.CPI,
 			TopName: top.Name(),

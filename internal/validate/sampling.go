@@ -5,10 +5,9 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/microbench"
 	"repro/internal/model"
-	"repro/internal/runner"
+	"repro/internal/stats"
 )
 
 // SamplingPoint is one DCPI sampling interval and its measurement
@@ -39,19 +38,14 @@ type SamplingResult struct {
 // instrumentation dilation.
 func SamplingStudy(opt Options) (SamplingResult, error) {
 	ws := opt.apply(microbench.Suite())
-	// Exact runs once, one cell per workload on the worker pool; the
-	// per-interval profiler emulation afterwards is pure arithmetic.
-	exacts, err := runner.Map(opt.Parallelism, ws,
-		func(_ int, w core.Workload) (core.RunResult, error) {
-			return model.NewNative().RunExact(w)
-		})
+	// Exact runs once: the reference's inner model, unmeasured, over
+	// the suite. The per-interval profiler emulation afterwards is
+	// pure arithmetic.
+	exact, err := runGrid(opt, []any{model.DefaultNativeConfig().Model}, ws)
 	if err != nil {
 		return SamplingResult{}, err
 	}
-	truth := make(map[string]core.RunResult, len(ws))
-	for i, w := range ws {
-		truth[w.Name] = exacts[i]
-	}
+	truth := exact[0]
 
 	var out SamplingResult
 	for _, interval := range []uint64{1000, 4000, 10000, 20000, 40000, 64000} {
@@ -71,8 +65,8 @@ func SamplingStudy(opt Options) (SamplingResult, error) {
 		}
 		p := SamplingPoint{
 			IntervalCycles: interval,
-			DilationPct:    mean(dil),
-			ErrorPct:       mean(errs),
+			DilationPct:    stats.Mean(dil),
+			ErrorPct:       stats.Mean(errs),
 		}
 		p.Combined = p.DilationPct + p.ErrorPct
 		out.Points = append(out.Points, p)
@@ -91,17 +85,6 @@ func pct(a, b uint64) float64 {
 		return 0
 	}
 	return (float64(a) - float64(b)) / float64(b) * 100
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // String renders the trade-off table.

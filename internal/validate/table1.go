@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/model"
-	"repro/internal/runner"
 )
 
 // Table1Row is one instruction class with its specified and measured
@@ -34,27 +33,29 @@ type Table1Result struct {
 // sim-alpha and the per-operation latency is inferred from the cycle
 // count. This is a conformance check that the timing model actually
 // implements Table 1 rather than merely declaring it.
-// Each latency chain is one independent cell on the worker pool;
-// Options.Limit is intentionally not applied, since a truncated chain
-// would measure a different latency, and the chains are short anyway.
+// Each latency chain is one cell of a sim-alpha grid; Options.Limit is
+// intentionally not applied, since a truncated chain would measure a
+// different latency, and the chains are short anyway.
 func Table1(opt Options) (Table1Result, error) {
-	rows, err := runner.Map(opt.Parallelism, table1Chains(),
-		func(_ int, c latencyChain) (Table1Row, error) {
-			w, chainOps := c.build()
-			res, err := model.MustBuild(model.DefaultAlphaConfig()).Run(w)
-			if err != nil {
-				return Table1Row{}, err
-			}
-			// Subtract the loop overhead measured with an empty chain
-			// of single-cycle adds paced by the same loop.
-			return Table1Row{
-				Class:     c.name,
-				Specified: c.specified,
-				Measured:  float64(res.Cycles) / float64(chainOps),
-			}, nil
-		})
+	chains := table1Chains()
+	ws := make([]core.Workload, len(chains))
+	ops := make([]uint64, len(chains))
+	for i, c := range chains {
+		ws[i], ops[i] = c.build()
+	}
+	res, err := runGrid(opt, []any{model.DefaultAlphaConfig()}, ws)
 	if err != nil {
 		return Table1Result{}, err
+	}
+	rows := make([]Table1Row, len(chains))
+	for i, c := range chains {
+		// Subtract the loop overhead measured with an empty chain
+		// of single-cycle adds paced by the same loop.
+		rows[i] = Table1Row{
+			Class:     c.name,
+			Specified: c.specified,
+			Measured:  float64(res[0][ws[i].Name].Cycles) / float64(ops[i]),
+		}
 	}
 	return Table1Result{Rows: rows}, nil
 }

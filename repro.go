@@ -343,7 +343,9 @@ func WorkloadFromTrace(name, path string) Workload {
 	}
 }
 
-// errSource is an empty stream standing in for an unopenable trace.
+// errSource is an empty stream standing in for an unopenable trace;
+// its Err fails the run.
 type errSource struct{ err error }
 
 func (e errSource) Next() (cpu.Record, bool) { return cpu.Record{}, false }
+func (e errSource) Err() error               { return e.err }

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/isa"
@@ -154,6 +155,36 @@ func TestTraceReplayMatchesLiveRun(t *testing.T) {
 	if live.Cycles != replay.Cycles || live.Instructions != replay.Instructions {
 		t.Errorf("trace replay diverged: live %d/%d, replay %d/%d",
 			live.Instructions, live.Cycles, replay.Instructions, replay.Cycles)
+	}
+}
+
+// TestFailedTraceReplayFailsRun: a trace cut mid-record, or one that
+// cannot be opened, fails the run on every backend instead of
+// returning a short or empty result.
+func TestFailedTraceReplayFailsRun(t *testing.T) {
+	w, _ := WorkloadByName("C-S2")
+	w.MaxInstructions = 5000
+	var buf bytes.Buffer
+	if _, err := RecordTrace(&buf, w); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cut := filepath.Join(dir, "cut.axpt")
+	if err := os.WriteFile(cut, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing.axpt")
+	for _, name := range []string{"sim-alpha", "sim-outorder", "sim-inorder", "sim-interval", "native-ds10l"} {
+		m, err := NewMachine(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{cut, missing} {
+			if res, err := m.Run(WorkloadFromTrace("C-S2", path)); err == nil {
+				t.Errorf("%s replaying %s: %d instructions and no error",
+					name, filepath.Base(path), res.Instructions)
+			}
+		}
 	}
 }
 
