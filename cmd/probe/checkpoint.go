@@ -1,8 +1,9 @@
 // The checkpoint subcommands. Unlike the rest of probe these are
 // local operations, not HTTP calls: a checkpoint library is recorded
-// by running a simulator in this process and saved into the same
-// on-disk content-addressed store (-dir) a simd/simw -store points
-// at, so a library recorded here is immediately servable there.
+// by running a simulator in this process and saved into an on-disk
+// content-addressed store (-dir) with the layout a simd -store uses.
+// Only probe and the benchmark harness load libraries back; no
+// service route serves them.
 package main
 
 import (

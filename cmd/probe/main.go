@@ -38,8 +38,8 @@
 // The checkpoint subcommands and `run -checkpoint DIR` are local
 // operations (no service round trip): they record, inspect, and run
 // against checkpoint libraries in an on-disk content-addressed store
-// — the same store layout a simd/simw -store uses, so a directory can
-// be shared between probe and the daemons.
+// — the same store layout a simd -store uses, so a directory can be
+// shared between probe and the daemons.
 //
 // A sweep axis is "name=Field:v1,v2,..." — a display name, a
 // dot-path into the machine's config struct, and the candidate

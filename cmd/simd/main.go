@@ -11,16 +11,20 @@
 //	     [-max-generated N]
 //
 // With -workers, simd is a coordinator: it shards simulation cells
-// (run, sweep, and sampled requests) over the listed workers — each a
-// simw or another simd — by content hash, steals stragglers, retries
-// on worker loss, and falls back to local execution when the tier is
-// gone. With -store, results and checkpoints persist in an on-disk
+// (run, sweep, and sampled requests) over the listed workers — each
+// another simd, serving POST /v1/cell — by content hash, steals
+// stragglers, retries on worker loss, and falls back to local
+// execution when the tier is gone. A worker's -timeout bounds each
+// cell it runs; a cell it times out is rerun on the coordinator, so
+// start workers with a deadline that fits the longest cell (e.g.
+// -timeout 5m). With -store, results and checkpoints persist in an on-disk
 // content-addressed store under DIR, a second cache tier shared
 // across restarts (and across processes pointed at the same DIR).
 //
 // Routes (see internal/service):
 //
-//	GET /v1/run?machine=M&workload=W[&limit=N]
+//	GET /v1/run?machine=M&workload=W[&limit=N]   POST /v1/run
+//	POST /v1/cell           (one simulation cell, as a coordinator dispatches it)
 //	GET /v1/experiment/{name}[?limit=N]
 //	POST /v1/sweep          (async design-space sweep jobs)
 //	GET /v1/sweep           GET /v1/sweep/{id}           DELETE /v1/sweep/{id}

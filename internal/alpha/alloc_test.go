@@ -38,7 +38,7 @@ func allocWorkload(name string, iters int64) core.Workload {
 // the same loop — any per-instruction allocation would show up
 // multiplied by the ~48k extra dynamic instructions.
 func TestRetireSteadyStateAllocFree(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	short := allocWorkload("alloc-short", 1_000)
 	long := allocWorkload("alloc-long", 9_000)
 	measure := func(w core.Workload) float64 {

@@ -15,7 +15,7 @@ func BenchmarkPipelineCycleRate(b *testing.B) {
 		bb.Op(isa.OpAddq, isa.T1, isa.T12, isa.T1)
 		bb.OpI(isa.OpXor, isa.T2, 3, isa.T2)
 	})
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {

@@ -46,7 +46,7 @@ func TestBugCatalogueEachMatters(t *testing.T) {
 		grainConflictWorkload(),
 		mixedMissWorkload(),
 	}
-	ref := New(DefaultConfig())
+	ref := DefaultConfig()
 	refIPC := map[string]float64{}
 	for _, w := range kernels {
 		r, err := ref.Run(w)
@@ -72,7 +72,7 @@ func TestBugCatalogueEachMatters(t *testing.T) {
 	for name, inject := range bugs {
 		cfg := DefaultConfig()
 		inject(&cfg.Bugs)
-		m := New(cfg)
+		m := cfg
 		moved := false
 		for _, w := range kernels {
 			r, err := m.Run(w)
@@ -96,7 +96,7 @@ func TestBugCatalogueEachMatters(t *testing.T) {
 // shrink from start to finish.
 func TestBugFixingConverges(t *testing.T) {
 	w := ctlWorkload()
-	ref, err := New(DefaultConfig()).Run(w)
+	ref, err := DefaultConfig().Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBugFixingConverges(t *testing.T) {
 		func(b *Bugs) { b.CheapLoadUseRecovery = false },
 	}
 	cfg := SimInitial()
-	first, err := New(cfg).Run(w)
+	first, err := cfg.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestBugFixingConverges(t *testing.T) {
 		t.Fatal("fix list does not cover the whole catalogue")
 	}
 	cfg.MachineName = "sim-fixed"
-	last, err := New(cfg).Run(w)
+	last, err := cfg.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}

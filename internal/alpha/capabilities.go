@@ -2,8 +2,8 @@ package alpha
 
 // SampleCapable marks the 21264 model as honoring Workload.Sample
 // (implements core.SampleCapable; assertion marker, never called).
-func (m *Machine) SampleCapable() {}
+func (Config) SampleCapable() {}
 
 // StackCapable marks the 21264 model's results as carrying an exact
 // CPI stack (implements core.StackCapable; assertion marker).
-func (m *Machine) StackCapable() {}
+func (Config) StackCapable() {}

@@ -18,20 +18,23 @@ import (
 // The rendering is hashed so the tag is a fixed-width opaque token —
 // usable in filenames and log lines, never colliding on a shared
 // struct-rendering prefix.
-func (m *Machine) compat() string {
+func (c Config) compat() string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier   cache.HierarchyConfig
 		Tour   predict.TournamentConfig
 		Mapper string
-	}{m.cfg.Hier, m.cfg.Tour, m.cfg.Mapping.Policy})))
+	}{c.Hier, c.Tour, c.Mapping.Policy})))
 }
 
 // RecordCheckpoints implements core.CheckpointRecorder: one
 // functional pass over the workload, warming caches and the
 // tournament, line and way predictors exactly as a timed run's skip
 // path would, with a state snapshot at each requested position.
-func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	return core.Record(m.spec(), w, positions)
+func (c Config) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
+	return core.Record(c.spec(nil), w, positions)
 }
 
 // Warm implements core.Kernel, the functional-warming path: every

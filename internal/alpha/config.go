@@ -211,8 +211,8 @@ type Config struct {
 func (c Config) NewMapper() vm.Mapper { return c.Mapping.New() }
 
 // Check verifies the configuration is runnable, returning a
-// descriptive error for degenerate or out-of-range values. New panics
-// on a bad configuration, since that is a programming error.
+// descriptive error for degenerate or out-of-range values. Run and
+// RecordCheckpoints return that error before simulating anything.
 func (c Config) Check() error {
 	if err := bounds.Check("alpha",
 		bounds.Int{Name: "FetchWidth", V: c.FetchWidth, Lo: 1, Hi: 4}, // one octaword

@@ -13,52 +13,47 @@ import (
 	"repro/internal/predict"
 )
 
-// Machine is a 21264-family timing model built from a Config. It
-// implements core.Machine; each Run constructs fresh pipeline state.
-type Machine struct {
-	cfg Config
-	// tracer, when non-nil, receives one PipeEvent per retired
-	// instruction. It observes runs without changing them, so it is
-	// not part of the configuration.
-	tracer PipeTracer
-}
+// Name implements core.Machine: a Config is its machine.
+func (c Config) Name() string { return c.MachineName }
 
-// New returns a machine for the configuration. It panics on a
-// degenerate configuration (see Config.Check), which is a programming
-// error rather than a runtime condition.
-func New(cfg Config) *Machine { return NewTraced(cfg, nil) }
+// Run implements core.Machine; each run constructs fresh pipeline
+// state. A configuration failing Check is an error, never a panic.
+func (c Config) Run(w core.Workload) (core.RunResult, error) { return c.run(w, nil) }
 
-// NewTraced returns a machine that reports every retired instruction
-// to t (see PipeTraceWriter); a nil t traces nothing.
-func NewTraced(cfg Config, t PipeTracer) *Machine {
-	if err := cfg.Check(); err != nil {
-		panic(err)
+// run is Run reporting every retired instruction to t (nil: none).
+func (c Config) run(w core.Workload, t PipeTracer) (core.RunResult, error) {
+	if err := c.Check(); err != nil {
+		return core.RunResult{}, err
 	}
-	return &Machine{cfg: cfg, tracer: t}
-}
-
-// Name implements core.Machine.
-func (m *Machine) Name() string { return m.cfg.MachineName }
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
-// Run implements core.Machine.
-func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	return core.Drive(m.spec(), w)
+	return core.Drive(c.spec(t), w)
 }
 
 // spec describes the machine to the run driver; its kernel is a
-// fresh pipeline (*sim).
-func (m *Machine) spec() core.Spec {
+// fresh pipeline (*sim) reporting to t.
+func (c Config) spec(t PipeTracer) core.Spec {
 	return core.Spec{
-		Machine: m.cfg.MachineName,
+		Machine: c.MachineName,
 		Family:  checkpoint.ModelAlpha,
 		Events:  events.ModelAlpha,
-		Compat:  m.compat,
-		New:     func() core.Kernel { return newSim(m.cfg, m.tracer) },
+		Compat:  c.compat,
+		New:     func() core.Kernel { return newSim(c, t) },
 	}
 }
+
+// traced is a 21264-family machine whose runs report every retired
+// instruction to a tracer. The tracer observes runs without changing
+// them, so it is not part of the configuration.
+type traced struct {
+	Config
+	tracer PipeTracer
+}
+
+// NewTraced returns a machine at cfg that reports every retired
+// instruction to t (see PipeTraceWriter); a nil t traces nothing.
+func NewTraced(cfg Config, t PipeTracer) core.Machine { return traced{cfg, t} }
+
+// Run implements core.Machine.
+func (m traced) Run(w core.Workload) (core.RunResult, error) { return m.run(w, m.tracer) }
 
 // entry is one in-flight instruction in the reorder buffer.
 type entry struct {

@@ -26,7 +26,7 @@ func loopProg(name string, iters int64, body func(b *asm.Builder)) core.Workload
 
 func runOn(t *testing.T, cfg Config, w core.Workload) core.RunResult {
 	t.Helper()
-	res, err := New(cfg).Run(w)
+	res, err := cfg.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +356,10 @@ func TestConfigCheck(t *testing.T) {
 			t.Errorf("bad config %d passed Check", i)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("New accepted a bad config without panicking")
-		}
-	}()
 	cfg := DefaultConfig()
 	cfg.ROB = 0
-	New(cfg)
+	w := loopProg("bad-config", 10, func(b *asm.Builder) {})
+	if _, err := cfg.Run(w); err == nil {
+		t.Error("Run accepted a bad config")
+	}
 }

@@ -25,7 +25,7 @@ func TestPipeTraceInvariants(t *testing.T) {
 		t.Fatal("no pipe events collected")
 	}
 	// Tracing observes a run without changing it.
-	plain, err := New(DefaultConfig()).Run(w)
+	plain, err := DefaultConfig().Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,10 +362,6 @@ func (h *Hierarchy) walk(vaddr uint64, now uint64) int {
 	return total
 }
 
-// FlushL1I empties the instruction cache (used by tests and the M-IP
-// microbenchmark validation of prefetch efficacy).
-func (h *Hierarchy) FlushL1I() { h.L1I.Reset() }
-
 // WarmInst performs one state-only instruction-side access: TLB and
 // cache-array contents, LRU and fills update exactly as a timed fetch
 // would, but none of the timing machinery (MAFs, the L2 bus, DRAM

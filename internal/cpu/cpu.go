@@ -66,9 +66,6 @@ func (c *CPU) Halted() bool { return c.halted }
 // Err returns the first execution error (illegal PC, etc.), if any.
 func (c *CPU) Err() error { return c.err }
 
-// Executed returns how many instructions have executed.
-func (c *CPU) Executed() uint64 { return c.seq }
-
 // Next implements Source: it executes one instruction and returns its
 // record. After HALT (which is itself delivered) or an error it
 // returns ok=false.

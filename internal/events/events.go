@@ -129,12 +129,6 @@ func (id ID) Unit() string { return defs[id].Unit }
 // Desc returns the event's one-line meaning.
 func (id ID) Desc() string { return defs[id].Desc }
 
-// AppliesTo reports whether the event is part of the model's schema.
-// An applicable event always appears in the model's counter map, even
-// at zero, so a missing key means "not modeled", never "didn't
-// happen".
-func (id ID) AppliesTo(m Model) bool { return defs[id].Models&m != 0 }
-
 // All returns every event ID in schema order.
 func All() []ID {
 	out := make([]ID, NumEvents)
@@ -341,7 +335,8 @@ func (c *Collector) Merge(o *Collector) {
 
 // Counters renders the legacy counter map for a model: every schema
 // event applicable to the model, keyed by canonical name, zeros
-// included.
+// included, so a missing key means "not modeled", never "didn't
+// happen".
 func (c *Collector) Counters(m Model) map[string]uint64 {
 	out := make(map[string]uint64)
 	for i := ID(0); i < NumEvents; i++ {

@@ -11,17 +11,20 @@ import (
 
 // compat fingerprints the warm-relevant configuration: the hierarchy,
 // the bimodal table geometry, and the mapping policy.
-func (m *Machine) compat() string {
+func (c Config) compat() string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier        cache.HierarchyConfig
 		BimodalBits int
 		Mapper      string
-	}{m.cfg.Hier, m.cfg.BimodalBits, m.cfg.Mapping.Policy})))
+	}{c.Hier, c.BimodalBits, c.Mapping.Policy})))
 }
 
 // RecordCheckpoints implements core.CheckpointRecorder.
-func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	return core.Record(m.spec(), w, positions)
+func (c Config) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
+	return core.Record(c.spec(), w, positions)
 }
 
 // Warm implements core.Kernel, the functional-warming path: caches

@@ -72,40 +72,30 @@ func (c Config) Check() error {
 	return c.Mapping.Check()
 }
 
-// Machine implements core.Machine.
-type Machine struct {
-	cfg Config
-}
+// Name implements core.Machine: a Config is its machine.
+func (c Config) Name() string { return c.MachineName }
 
-// New returns a machine for the configuration; it panics on a
-// configuration failing Check (a programming error).
-func New(cfg Config) *Machine {
-	if err := cfg.Check(); err != nil {
-		panic(err)
+// Run implements core.Machine. A configuration failing Check is an
+// error, never a panic.
+func (c Config) Run(w core.Workload) (core.RunResult, error) {
+	if err := c.Check(); err != nil {
+		return core.RunResult{}, err
 	}
-	return &Machine{cfg: cfg}
-}
-
-// Name implements core.Machine.
-func (m *Machine) Name() string { return m.cfg.MachineName }
-
-// Run implements core.Machine.
-func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	return core.Drive(m.spec(), w)
+	return core.Drive(c.spec(), w)
 }
 
 // spec describes the machine to the run driver.
-func (m *Machine) spec() core.Spec {
+func (c Config) spec() core.Spec {
 	return core.Spec{
-		Machine: m.cfg.MachineName,
+		Machine: c.MachineName,
 		Family:  checkpoint.ModelInorder,
 		Events:  events.ModelInOrder,
-		Compat:  m.compat,
+		Compat:  c.compat,
 		New: func() core.Kernel {
 			return &kernel{
-				cfg:      m.cfg,
-				hier:     cache.NewHierarchy(m.cfg.Hier, m.cfg.Mapping.New(), dram.New(m.cfg.DRAM)),
-				bimodal:  predict.NewBimodal(m.cfg.BimodalBits),
+				cfg:      c,
+				hier:     cache.NewHierarchy(c.Hier, c.Mapping.New(), dram.New(c.DRAM)),
+				bimodal:  predict.NewBimodal(c.BimodalBits),
 				warmLine: 1 << 63,
 			}
 		},

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBasicBounds(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	for _, name := range []string{"E-I", "E-D1", "C-Ca"} {
 		w, _ := microbench.ByName(name)
 		res, err := m.Run(w)
@@ -22,8 +22,8 @@ func TestBasicBounds(t *testing.T) {
 }
 
 func TestAlwaysBelowOutOfOrder(t *testing.T) {
-	io := New(DefaultConfig())
-	ooo := alpha.New(alpha.DefaultConfig())
+	io := DefaultConfig()
+	ooo := alpha.DefaultConfig()
 	for _, name := range []string{"E-I", "E-D6", "C-S2", "M-I"} {
 		w, _ := microbench.ByName(name)
 		ir, err := io.Run(w)
@@ -44,7 +44,7 @@ func TestAlwaysBelowOutOfOrder(t *testing.T) {
 func TestLatencyExposure(t *testing.T) {
 	// A dependent multiply chain must run near 1/7 IPC even in order;
 	// independent multiplies on a single-issue machine run near 1.
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	dep, _ := microbench.ByName("E-DM1")
 	res, err := m.Run(dep)
 	if err != nil {
@@ -64,8 +64,8 @@ func TestLatencyExposure(t *testing.T) {
 }
 
 func TestBlockingCacheHurtsMemory(t *testing.T) {
-	m := New(DefaultConfig())
-	ooo := alpha.New(alpha.DefaultConfig())
+	m := DefaultConfig()
+	ooo := alpha.DefaultConfig()
 	w, _ := microbench.ByName("M-I")
 	ir, err := m.Run(w)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestBlockingCacheHurtsMemory(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	w, _ := microbench.ByName("C-S1")
 	a, _ := m.Run(w)
 	b, _ := m.Run(w)

@@ -10,4 +10,4 @@ package interval
 // sampling would save nothing, and it keeps no timed state worth
 // checkpointing. The registry derives its capability flags from these
 // absent assertions.
-func (m *Machine) StackCapable() {}
+func (Config) StackCapable() {}

@@ -114,16 +114,8 @@ func (c Config) Check() error {
 	return c.Mapping.Check()
 }
 
-// Machine implements core.Machine.
-type Machine struct {
-	cfg Config
-}
-
-// New returns a machine for the configuration.
-func New(cfg Config) *Machine { return &Machine{cfg: cfg} }
-
-// Name implements core.Machine.
-func (m *Machine) Name() string { return m.cfg.MachineName }
+// Name implements core.Machine: a Config is its machine.
+func (c Config) Name() string { return c.MachineName }
 
 // Run implements core.Machine: one functional pass counting miss
 // events, then the closed-form cycle estimate. The hierarchy is
@@ -134,21 +126,21 @@ func (m *Machine) Name() string { return m.cfg.MachineName }
 // The estimator does not support sampling (it already costs only a
 // functional pass), checkpoint restore, or warm fast-forward; the
 // registry advertises these gaps as capability flags.
-func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
+func (c Config) Run(w core.Workload) (core.RunResult, error) {
 	if w.Sample != nil {
-		return core.RunResult{}, fmt.Errorf("%s: analytical backend does not support sampling (it is already a single functional pass)", m.cfg.MachineName)
+		return core.RunResult{}, fmt.Errorf("%s: analytical backend does not support sampling (it is already a single functional pass)", c.MachineName)
 	}
 	if w.Checkpoint != nil {
-		return core.RunResult{}, fmt.Errorf("%s: analytical backend does not support checkpoint restore", m.cfg.MachineName)
+		return core.RunResult{}, fmt.Errorf("%s: analytical backend does not support checkpoint restore", c.MachineName)
 	}
 	if w.WarmFastForward > 0 {
-		return core.RunResult{}, fmt.Errorf("%s: analytical backend does not support warm fast-forward", m.cfg.MachineName)
+		return core.RunResult{}, fmt.Errorf("%s: analytical backend does not support warm fast-forward", c.MachineName)
 	}
-	if err := m.cfg.Check(); err != nil {
+	if err := c.Check(); err != nil {
 		return core.RunResult{}, err
 	}
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.Mapping.New(), ddr.NewOrFlat(m.cfg.DDR, m.cfg.DRAM))
-	bimodal := predict.NewBimodal(m.cfg.BimodalBits)
+	hier := cache.NewHierarchy(c.Hier, c.Mapping.New(), ddr.NewOrFlat(c.DDR, c.DRAM))
+	bimodal := predict.NewBimodal(c.BimodalBits)
 	src := w.Source()
 
 	var retired uint64
@@ -181,7 +173,7 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 		}
 		// The estimated clock handed to the hierarchy: base progress
 		// plus everything charged so far. Only DRAM timing reads it.
-		now := retired/uint64(m.cfg.Width) + icPen + dcPen + l2Pen + brPen + dramPen
+		now := retired/uint64(c.Width) + icPen + dcPen + l2Pen + brPen + dramPen
 
 		// Fetch: one I-cache probe per line transition. An I-cache
 		// miss ends an interval; the refill is serial with fetch, so
@@ -213,7 +205,7 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 				col.Count(events.DCacheMisses, 1)
 				pen := uint64(res.Latency + res.WalkCycles)
 				if res.L2Hit {
-					if p := pen / uint64(m.cfg.L2Overlap); p > 0 {
+					if p := pen / uint64(c.L2Overlap); p > 0 {
 						dcPen += p
 					} else {
 						dcPen++ // a counted miss always costs a cycle
@@ -226,12 +218,12 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 						if dq > pen {
 							dq = pen
 						}
-						if d := dq / uint64(m.cfg.MemOverlap); d > 0 {
+						if d := dq / uint64(c.MemOverlap); d > 0 {
 							dramPen += d
 						}
 						pen -= dq
 					}
-					if p := pen / uint64(m.cfg.MemOverlap); p > 0 {
+					if p := pen / uint64(c.MemOverlap); p > 0 {
 						l2Pen += p
 					} else {
 						l2Pen++
@@ -254,20 +246,20 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 			}
 			if mispredict {
 				col.Count(events.BrMispredicts, 1)
-				brPen += uint64(m.cfg.BranchPenalty)
+				brPen += uint64(c.BranchPenalty)
 			}
 		}
 		retired++
 	}
 	if err := cpu.Err(src); err != nil {
-		return core.RunResult{}, fmt.Errorf("%s/%s: %w", m.cfg.MachineName, w.Name, err)
+		return core.RunResult{}, fmt.Errorf("%s/%s: %w", c.MachineName, w.Name, err)
 	}
 	if retired == 0 {
 		return core.RunResult{}, fmt.Errorf("interval: empty instruction stream")
 	}
 
 	// The closed-form estimate: smooth issue plus priced miss events.
-	base := (retired + uint64(m.cfg.Width) - 1) / uint64(m.cfg.Width)
+	base := (retired + uint64(c.Width) - 1) / uint64(c.Width)
 	cycles := base + icPen + dcPen + l2Pen + brPen + dramPen
 
 	col.Attribute(events.CompICache, icPen)
@@ -278,7 +270,7 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	hier.FoldMemEvents(&col)
 	stack := col.Finish(cycles)
 	return core.RunResult{
-		Machine:      m.cfg.MachineName,
+		Machine:      c.MachineName,
 		Workload:     w.Name,
 		Instructions: retired,
 		Cycles:       cycles,

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBasicBounds(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	for _, name := range []string{"E-I", "E-D1", "C-Ca", "M-I"} {
 		w, _ := microbench.ByName(name)
 		res, err := m.Run(w)
@@ -23,7 +23,7 @@ func TestBasicBounds(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	w, _ := microbench.ByName("M-M")
 	a, err := m.Run(w)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestBreakdownSumsToCycles(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	for _, name := range []string{"E-I", "C-Ca", "M-M"} {
 		w, _ := microbench.ByName(name)
 		res, err := m.Run(w)
@@ -56,7 +56,7 @@ func TestBreakdownSumsToCycles(t *testing.T) {
 }
 
 func TestRejectsUnsupportedModes(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	w, _ := microbench.ByName("E-I")
 
 	sw := w
@@ -73,7 +73,7 @@ func TestRejectsUnsupportedModes(t *testing.T) {
 }
 
 func TestCapabilityMarkers(t *testing.T) {
-	var m core.Machine = New(DefaultConfig())
+	var m core.Machine = DefaultConfig()
 	if _, ok := m.(core.StackCapable); !ok {
 		t.Error("interval machine should assert core.StackCapable")
 	}

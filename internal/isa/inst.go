@@ -83,15 +83,6 @@ func (in Inst) Encode() (uint32, error) {
 	return w, nil
 }
 
-// MustEncode is Encode but panics on error; for static program text.
-func (in Inst) MustEncode() uint32 {
-	w, err := in.Encode()
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Decode unpacks a 32-bit instruction word.
 func Decode(w uint32) (Inst, error) {
 	op := Op(w >> 26)

@@ -74,9 +74,6 @@ func DefaultIntervalConfig() IntervalConfig { return interval.DefaultConfig() }
 // DefaultDCPIConfig returns the emulated profiler's configuration.
 func DefaultDCPIConfig() DCPIConfig { return dcpi.DefaultConfig() }
 
-// DefaultDDRConfig returns the DS-10L-calibrated DDR subsystem.
-func DefaultDDRConfig() DDRConfig { return ddr.DS10LDDR() }
-
 // SimAlphaDDRConfig returns the validated 21264 model on the DDR
 // subsystem (the sim-alpha-ddr backend).
 func SimAlphaDDRConfig() AlphaConfig {
@@ -106,7 +103,8 @@ func AlphaFeatures() []string {
 // TraceAlpha builds a 21264-family machine at cfg that writes one
 // text line per retired instruction to w (SimpleScalar ptrace's
 // counterpart). The trace observes the run, so it is not part of cfg.
-// Like MustBuild, it panics on a config failing Check.
+// Like cfg's own Run, its Run returns an error on a config failing
+// Check.
 func TraceAlpha(cfg AlphaConfig, w io.Writer) core.Machine {
 	return alpha.NewTraced(cfg, alpha.PipeTraceWriter(w))
 }
@@ -118,37 +116,23 @@ func MeasureDCPI(cfg DCPIConfig, r core.RunResult) core.RunResult {
 }
 
 // Build turns a configuration value into a machine. It is the one
-// constructor: a registered backend is its Config, and a swept or
-// mutated config builds the same way. The config is validated first,
-// so a degenerate value is an error, never a panic; a config type no
-// backend owns returns an error wrapping ErrUnknownBackend.
+// constructor: every backend's config type implements core.Machine, so
+// a registered backend is its Config, and a swept or mutated config
+// builds the same way. The config is validated first, so a degenerate
+// value is an error, never a panic; a value that is not a config (no
+// Check, Name and Run) returns an error wrapping ErrUnknownBackend.
 func Build(cfg any) (core.Machine, error) {
-	var err error
-	switch c := cfg.(type) {
-	case AlphaConfig:
-		if err = c.Check(); err == nil {
-			return alpha.New(c), nil
-		}
-	case RUUConfig:
-		if err = c.Check(); err == nil {
-			return ruu.New(c), nil
-		}
-	case InorderConfig:
-		if err = c.Check(); err == nil {
-			return inorder.New(c), nil
-		}
-	case IntervalConfig:
-		if err = c.Check(); err == nil {
-			return interval.New(c), nil
-		}
-	case NativeConfig:
-		if err = c.Check(); err == nil {
-			return native.New(c), nil
-		}
-	default:
-		err = fmt.Errorf("%w: no builder for config type %T", ErrUnknownBackend, cfg)
+	m, ok := cfg.(interface {
+		core.Machine
+		Check() error
+	})
+	if !ok {
+		return nil, fmt.Errorf("%w: no builder for config type %T", ErrUnknownBackend, cfg)
 	}
-	return nil, err
+	if err := m.Check(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // MustBuild builds a config the caller knows is valid; it panics

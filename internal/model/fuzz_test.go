@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/macrobench"
 )
 
@@ -42,7 +43,9 @@ const maxCellAlloc = 512 << 20
 // FuzzBuildOneField sets one integer field of a registered config —
 // backend b, field i, both taken modulo their counts — to v. Build
 // must either reject the config or return a machine that runs a short
-// cell to completion, without panicking and within maxCellAlloc. The
+// cell to completion, without panicking and within maxCellAlloc. A
+// rejected config's own Run must fail the same cell without
+// panicking, since a config is a machine any layer can run. The
 // committed corpus holds inputs that once crashed or wedged a daemon:
 // sim-alpha ROB 2^36 (an out-of-memory throw), sim-outorder
 // Hier.L2.HitLatency 2^40 (a run that could not finish), sim-inorder
@@ -72,6 +75,9 @@ func FuzzBuildOneField(f *testing.F) {
 		}
 		m, err := Build(cfg.Interface())
 		if err != nil {
+			if _, runErr := cfg.Interface().(core.Machine).Run(w); runErr == nil {
+				t.Fatalf("%s with %s = %d failed Build (%v) but its Run succeeded", d.Name, field.path, v, err)
+			}
 			return
 		}
 		var before, after runtime.MemStats

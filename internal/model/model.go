@@ -1,17 +1,19 @@
 // Package model is the central backend registry: the single place
 // that knows every timing model in the repository by name. A machine
 // is its configuration value — a plain, comparable struct whose
-// fingerprint is its cache identity — and Build is the one
-// constructor that turns a config into a machine. Each backend
-// registers a typed Descriptor (name, canonical configuration,
-// fidelity tier, one-line description), and every consumer (the
-// library facade, the service, the sweep engine, the validation
-// experiments, the command-line tools) resolves machines through it.
-// No layer above this package imports a concrete model package; the
-// layering is enforced by a CI grep.
+// fingerprint is its cache identity. Every backend's config type
+// implements core.Machine itself (Name, and a Run that returns a
+// failing Check as an error), and Build, the one constructor, checks
+// a config and returns it. Each backend registers a typed Descriptor
+// (name, canonical configuration, fidelity tier, one-line
+// description), and every consumer (the library facade, the service,
+// the sweep engine, the validation experiments, the command-line
+// tools) resolves machines through it. No layer above this package
+// imports a concrete model package; the layering is enforced by a CI
+// grep.
 //
 // Capability flags are not declared — they are *discovered*, by
-// interface assertion against a freshly built machine
+// interface assertion against the config value
 // (core.CheckpointRecorder, core.SampleCapable, core.StackCapable).
 // A backend cannot claim a capability its type does not implement,
 // and a new capability interface extends every descriptor at once.
@@ -64,13 +66,14 @@ type Capabilities struct {
 	CPIStack bool `json:"cpi_stack"`
 }
 
-// Descriptor registers one backend. Its Config is the machine:
-// Build(Config) constructs it, and the config's fingerprint
-// content-addresses its results, so Config must be comparable
-// structured data whose every field is observable — no closures or
-// interfaces — and whose fingerprint changes whenever timing-relevant
-// behavior does. Adding a backend means adding its config type to
-// Build and registering a Descriptor.
+// Descriptor registers one backend. Its Config is the machine: the
+// config type implements core.Machine, Build(Config) checks and
+// returns it, and the config's fingerprint content-addresses its
+// results, so Config must be comparable structured data whose every
+// field is observable — no closures or interfaces — and whose
+// fingerprint changes whenever timing-relevant behavior does. Adding
+// a backend means a config type with Check, Name and Run, an alias
+// for it, and a Register call; Build needs no case for it.
 type Descriptor struct {
 	// Name is the registry key ("sim-alpha", "native-ds10l", ...).
 	Name string
@@ -84,12 +87,11 @@ type Descriptor struct {
 }
 
 // Capabilities discovers the backend's capability flags by asserting
-// the relevant interfaces against a fresh machine.
+// the relevant interfaces against its config, which is its machine.
 func (d Descriptor) Capabilities() Capabilities {
-	m := MustBuild(d.Config)
-	_, ckpt := m.(core.CheckpointRecorder)
-	_, smpl := m.(core.SampleCapable)
-	_, stack := m.(core.StackCapable)
+	_, ckpt := d.Config.(core.CheckpointRecorder)
+	_, smpl := d.Config.(core.SampleCapable)
+	_, stack := d.Config.(core.StackCapable)
 	return Capabilities{Checkpointable: ckpt, Samplable: smpl, CPIStack: stack}
 }
 

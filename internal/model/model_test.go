@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fingerprint"
+	"repro/internal/microbench"
 )
 
 func TestRegistryContents(t *testing.T) {
@@ -204,6 +205,58 @@ func TestNewIsBuildOfConfig(t *testing.T) {
 		if byCfg := MustBuild(d.Config); !reflect.DeepEqual(byName, byCfg) {
 			t.Errorf("%s: New(name) and Build(Config) build different machines:\n  %#v\nvs\n  %#v",
 				d.Name, byName, byCfg)
+		}
+	}
+}
+
+// TestMachineIsItsConfig checks that a backend's machine is its
+// config value itself, not a wrapper around it: what a cache key
+// fingerprints is exactly what runs.
+func TestMachineIsItsConfig(t *testing.T) {
+	for _, d := range Backends() {
+		if m := MustBuild(d.Config); m != d.Config {
+			t.Errorf("%s: Build(Config) returned %T, not the config", d.Name, m)
+		}
+		if m := MustNew(d.Name); m != d.Config {
+			t.Errorf("%s: New(name) returned %T, not the config", d.Name, m)
+		}
+	}
+}
+
+// TestBadConfigRunIsError runs a config failing Check on each backend
+// config type directly, bypassing Build as any layer holding a config
+// alias can: Run, and RecordCheckpoints where the type records, must
+// return Check's error, never panic or simulate.
+func TestBadConfigRunIsError(t *testing.T) {
+	badAlpha := DefaultAlphaConfig()
+	badAlpha.ROB = 0
+	badRUU := DefaultRUUConfig()
+	badRUU.RUUSize = 1
+	badInorder := DefaultInorderConfig()
+	badInorder.BimodalBits = -1
+	badInterval := DefaultIntervalConfig()
+	badInterval.Width = 0
+	badNative := DefaultNativeConfig()
+	badNative.Prof.JitterPPM = 2_000_000
+	w, ok := microbench.ByName("C-Ca")
+	if !ok {
+		t.Fatal("no C-Ca workload")
+	}
+	for _, cfg := range []interface {
+		core.Machine
+		Check() error
+	}{badAlpha, badRUU, badInorder, badInterval, badNative} {
+		want := cfg.Check()
+		if want == nil {
+			t.Fatalf("%T: bad config passed Check", cfg)
+		}
+		if _, err := cfg.Run(w); err == nil || err.Error() != want.Error() {
+			t.Errorf("%T: Run error %v, want Check's %v", cfg, err, want)
+		}
+		if rec, ok := cfg.(core.CheckpointRecorder); ok {
+			if _, err := rec.RecordCheckpoints(w, []uint64{1000}); err == nil || err.Error() != want.Error() {
+				t.Errorf("%T: RecordCheckpoints error %v, want Check's %v", cfg, err, want)
+			}
 		}
 	}
 }

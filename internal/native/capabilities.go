@@ -4,9 +4,9 @@ package native
 // Workload.Sample — the inner 21264 model samples and the profiler
 // measures the sampled windows (implements core.SampleCapable;
 // assertion marker, never called).
-func (m *Machine) SampleCapable() {}
+func (Config) SampleCapable() {}
 
 // StackCapable marks the reference machine's results as carrying a
 // CPI stack — the profiler dilates the inner model's stack without
 // breaking its exact sum (implements core.StackCapable).
-func (m *Machine) StackCapable() {}
+func (Config) StackCapable() {}

@@ -35,40 +35,33 @@ func (c Config) Check() error {
 	return c.Prof.Check()
 }
 
-// Machine is the simulated DS-10L. It implements core.Machine.
-type Machine struct {
-	inner *alpha.Machine
-	prof  dcpi.Config
-}
-
-// New returns the reference machine at cfg. It panics on a
-// configuration failing Check (a programming error).
-func New(cfg Config) *Machine {
-	if err := cfg.Check(); err != nil {
-		panic(err)
-	}
-	return &Machine{inner: alpha.New(cfg.Model), prof: cfg.Prof}
-}
-
-// Name implements core.Machine.
-func (m *Machine) Name() string { return m.inner.Name() }
+// Name implements core.Machine: a Config is its machine, named by
+// its inner model.
+func (c Config) Name() string { return c.Model.MachineName }
 
 // Run implements core.Machine: it executes the workload on the
 // full-fidelity model and passes the result through the emulated
 // profiler, as all native measurements in the paper go through DCPI.
-func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	res, err := m.inner.Run(w)
+// A configuration failing Check is an error, never a panic.
+func (c Config) Run(w core.Workload) (core.RunResult, error) {
+	if err := c.Check(); err != nil {
+		return core.RunResult{}, err
+	}
+	res, err := c.Model.Run(w)
 	if err != nil {
 		return core.RunResult{}, err
 	}
-	out := dcpi.Measure(m.prof, res)
-	out.Machine = m.Name()
+	out := dcpi.Measure(c.Prof, res)
+	out.Machine = c.Name()
 	return out, nil
 }
 
 // RecordCheckpoints implements core.CheckpointRecorder by delegating
 // to the inner 21264 model: the profiler is a measurement layer, not
 // simulator state, so native checkpoints are alpha-family states.
-func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	return m.inner.RecordCheckpoints(w, positions)
+func (c Config) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
+	return c.Model.RecordCheckpoints(w, positions)
 }

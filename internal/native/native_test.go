@@ -9,7 +9,7 @@ import (
 )
 
 func TestNameAndMeasurement(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	if m.Name() != "native-ds10l" {
 		t.Errorf("name = %s", m.Name())
 	}
@@ -19,7 +19,7 @@ func TestNameAndMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An exact run is the inner model without the profiler.
-	exact, err := alpha.New(DefaultConfig().Model).Run(w)
+	exact, err := DefaultConfig().Model.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func TestNativeDiffersFromSimAlpha(t *testing.T) {
 	// The reference machine and the validated simulator must disagree
 	// on memory-intensive work (the paper's residual macro error) but
 	// agree closely on cache-resident kernels.
-	nat := alpha.New(DefaultConfig().Model) // exact: no profiler
-	sim := alpha.New(alpha.DefaultConfig())
+	nat := DefaultConfig().Model // exact: no profiler
+	sim := alpha.DefaultConfig()
 	mm, _ := microbench.ByName("M-M")
 	nr, err := nat.Run(mm)
 	if err != nil {
@@ -68,8 +68,8 @@ func TestNativeDiffersFromSimAlpha(t *testing.T) {
 
 func TestCustomProfilerInterval(t *testing.T) {
 	w, _ := microbench.ByName("E-D1")
-	coarse := New(Config{Model: alpha.NativeConfig(), Prof: dcpi.Config{IntervalCycles: 64000, DilationPerSample: 8, JitterPPM: 3000}})
-	fine := New(Config{Model: alpha.NativeConfig(), Prof: dcpi.Config{IntervalCycles: 1000, DilationPerSample: 8, JitterPPM: 3000}})
+	coarse := Config{Model: alpha.NativeConfig(), Prof: dcpi.Config{IntervalCycles: 64000, DilationPerSample: 8, JitterPPM: 3000}}
+	fine := Config{Model: alpha.NativeConfig(), Prof: dcpi.Config{IntervalCycles: 1000, DilationPerSample: 8, JitterPPM: 3000}}
 	cr, err := coarse.Run(w)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // path. C-Ca mixes ALU, memory and control work, so the measured path
 // includes the RUU scan, the LSQ and the branch recovery machinery.
 func TestRetireSteadyStateAllocFree(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	w, ok := microbench.ByName("C-Ca")
 	if !ok {
 		t.Fatal("no C-Ca workload")

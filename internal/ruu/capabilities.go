@@ -2,8 +2,8 @@ package ruu
 
 // SampleCapable marks the RUU model as honoring Workload.Sample
 // (implements core.SampleCapable; assertion marker, never called).
-func (m *Machine) SampleCapable() {}
+func (Config) SampleCapable() {}
 
 // StackCapable marks the RUU model's results as carrying an exact
 // CPI stack (implements core.StackCapable; assertion marker).
-func (m *Machine) StackCapable() {}
+func (Config) StackCapable() {}

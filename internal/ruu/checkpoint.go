@@ -12,18 +12,21 @@ import (
 // warms caches only (the gshare predictor's index couples to the
 // speculative global history, so it is left to warmup windows), so
 // the fingerprint covers the hierarchy and the mapping policy.
-func (m *Machine) compat() string {
+func (c Config) compat() string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier   cache.HierarchyConfig
 		Mapper string
-	}{m.cfg.Hier, m.cfg.Mapping.Policy})))
+	}{c.Hier, c.Mapping.Policy})))
 }
 
 // RecordCheckpoints implements core.CheckpointRecorder: a functional
 // pass that warms the hierarchy exactly as a timed run's skip path
 // does, with a snapshot at each requested stream position.
-func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	return core.Record(m.spec(), w, positions)
+func (c Config) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
+	return core.Record(c.spec(), w, positions)
 }
 
 // Warm implements core.Kernel, the functional-warming path: caches

@@ -136,11 +136,6 @@ func flatDRAM() dram.Config {
 	}
 }
 
-// Machine is an RUU-based timing model implementing core.Machine.
-type Machine struct {
-	cfg Config
-}
-
 // Check verifies the configuration is runnable and every field is in
 // range.
 func (c Config) Check() error {
@@ -175,35 +170,27 @@ func (c Config) Check() error {
 	return c.Mapping.Check()
 }
 
-// New returns a machine for the configuration; it panics on a
-// degenerate configuration (a programming error).
-func New(cfg Config) *Machine {
-	if err := cfg.Check(); err != nil {
-		panic(err)
+// Name implements core.Machine: a Config is its machine.
+func (c Config) Name() string { return c.MachineName }
+
+// Run implements core.Machine. A configuration failing Check is an
+// error, never a panic.
+func (c Config) Run(w core.Workload) (core.RunResult, error) {
+	if err := c.Check(); err != nil {
+		return core.RunResult{}, err
 	}
-	return &Machine{cfg: cfg}
-}
-
-// Name implements core.Machine.
-func (m *Machine) Name() string { return m.cfg.MachineName }
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
-// Run implements core.Machine.
-func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	return core.Drive(m.spec(), w)
+	return core.Drive(c.spec(), w)
 }
 
 // spec describes the machine to the run driver; its kernel is a
 // fresh pipeline (*sim).
-func (m *Machine) spec() core.Spec {
+func (c Config) spec() core.Spec {
 	return core.Spec{
-		Machine: m.cfg.MachineName,
+		Machine: c.MachineName,
 		Family:  checkpoint.ModelRUU,
 		Events:  events.ModelRUU,
-		Compat:  m.compat,
-		New:     func() core.Kernel { return newSim(m.cfg) },
+		Compat:  c.compat,
+		New:     func() core.Kernel { return newSim(c) },
 	}
 }
 

@@ -22,7 +22,7 @@ func run(t *testing.T, m core.Machine, name string) core.RunResult {
 }
 
 func TestBasicExecution(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	res := run(t, m, "E-I")
 	if res.IPC() < 3.0 {
 		t.Errorf("E-I IPC = %.2f, want near 4", res.IPC())
@@ -34,7 +34,7 @@ func TestBasicExecution(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	a := run(t, m, "C-Ca")
 	b := run(t, m, "C-Ca")
 	if a.Cycles != b.Cycles {
@@ -47,8 +47,8 @@ func TestDeterminism(t *testing.T) {
 // because it lacks the front-end constraints (line predictor,
 // deep pipeline, jmp flushes).
 func TestOptimisticVersusAlpha(t *testing.T) {
-	ro := New(DefaultConfig())
-	al := alpha.New(alpha.DefaultConfig())
+	ro := DefaultConfig()
+	al := alpha.DefaultConfig()
 	faster := 0
 	for _, name := range []string{"C-Ca", "C-Cb", "C-S1", "C-S2", "C-S3", "C-R"} {
 		rr := run(t, ro, name)
@@ -64,8 +64,8 @@ func TestOptimisticVersusAlpha(t *testing.T) {
 }
 
 func TestEightWideFasterThanFourWide(t *testing.T) {
-	four := New(DefaultConfig())
-	eight := New(EightWide())
+	four := DefaultConfig()
+	eight := EightWide()
 	f := run(t, four, "E-I")
 	e := run(t, eight, "E-I")
 	if e.IPC() <= f.IPC() {
@@ -80,8 +80,8 @@ func TestBTBCapturesSwitchTargets(t *testing.T) {
 	// sim-outorder's BTB predicts repeated indirect-jump targets,
 	// so C-S2/C-S3 should beat the alpha model's line predictor
 	// (Table 2: 1.33/1.64 versus 0.85/0.95 on the native machine).
-	ro := New(DefaultConfig())
-	al := alpha.New(alpha.DefaultConfig())
+	ro := DefaultConfig()
+	al := alpha.DefaultConfig()
 	rr := run(t, ro, "C-S3")
 	ar := run(t, al, "C-S3")
 	if rr.IPC() <= ar.IPC() {
@@ -92,8 +92,8 @@ func TestBTBCapturesSwitchTargets(t *testing.T) {
 func TestMemoryBoundSimilar(t *testing.T) {
 	// On pure memory latency (M-M) both machines are DRAM-bound; the
 	// RUU model should not be wildly faster (Table 2: -0.3%).
-	ro := New(DefaultConfig())
-	al := alpha.New(alpha.DefaultConfig())
+	ro := DefaultConfig()
+	al := alpha.DefaultConfig()
 	rr := run(t, ro, "M-M")
 	ar := run(t, al, "M-M")
 	ratio := rr.IPC() / ar.IPC()
@@ -103,7 +103,7 @@ func TestMemoryBoundSimilar(t *testing.T) {
 }
 
 func TestCountersPresent(t *testing.T) {
-	m := New(DefaultConfig())
+	m := DefaultConfig()
 	res := run(t, m, "C-S1")
 	if res.Counter("br_mispredicts")+res.Counter("btb_misses") == 0 {
 		t.Error("C-S1 produced no branch/BTB events")
@@ -118,11 +118,11 @@ func TestRenameRegisterGate(t *testing.T) {
 	small.RenameRegs = 4
 	big := DefaultConfig()
 	big.RenameRegs = 80
-	sr, err := New(small).Run(w)
+	sr, err := small.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := New(big).Run(w)
+	br, err := big.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,11 @@ func TestConfigCheck(t *testing.T) {
 	if err := cfg.Check(); err == nil {
 		t.Error("tiny RUU passed Check")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("New accepted a bad config")
-		}
-	}()
-	New(cfg)
+	w, ok := microbench.ByName("C-Ca")
+	if !ok {
+		t.Fatal("no C-Ca workload")
+	}
+	if _, err := cfg.Run(w); err == nil {
+		t.Error("Run accepted a bad config")
+	}
 }

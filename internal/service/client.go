@@ -16,7 +16,7 @@ import (
 	"time"
 )
 
-// Client calls one simd/simw instance.
+// Client calls one simd instance.
 type Client struct {
 	base string
 	// http keeps a nil Transport, so every request goes through

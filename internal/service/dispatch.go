@@ -1,6 +1,6 @@
 // The distributed tier: a coordinator shards simulation cells over
 // registered workers by content hash and serves their results; every
-// worker is just a simd/simw serving POST /v1/cell.
+// worker is just a simd serving POST /v1/cell.
 //
 // A cell is the unit of distribution: one (machine config × workload
 // × budget) simulation, optionally under a sampling plan. It crosses
