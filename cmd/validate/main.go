@@ -3,17 +3,12 @@
 //
 // Usage:
 //
-//	validate [-j N] [-list] [-breakdown] [-sweep] [-sample] [experiment ...]
+//	validate [-j N] [-list] [experiment ...]
 //
 // With no experiment arguments it runs everything in paper order;
-// otherwise it runs only the named experiments. -list prints the
-// experiment registry (shared with the simd service) and exits.
-// -breakdown adds the CPI-breakdown experiment to the selection (with
-// no other selection, it runs alone). -sweep likewise adds the
-// design-space exploration family: the sensitivity sweep and the
-// sim-initial auto-calibration. -sample adds the sampled-simulation
-// experiment: interval sampling vs full detail with confidence
-// intervals.
+// otherwise it runs only the named experiments, still in paper order.
+// -list prints the experiment registry (shared with the simd service)
+// and exits.
 //
 // -j sets how many simulation cells run concurrently (default: all
 // CPUs). Output is byte-identical at every -j because results are
@@ -21,31 +16,27 @@
 //
 // Every experiment runs even when one fails; failures are reported on
 // stderr with a trailing summary line, and the exit status is 1 when
-// any experiment failed.
+// any experiment failed. An unknown experiment name exits 2 before
+// anything runs.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
-	"repro/internal/runner"
 	"repro/internal/validate"
 )
 
 func main() {
 	jobs := flag.Int("j", 0, "concurrent simulation cells (0 = all CPUs)")
 	list := flag.Bool("list", false, "list registered experiments and exit")
-	breakdown := flag.Bool("breakdown", false,
-		"run the CPI-breakdown experiment (shorthand for naming 'breakdown')")
-	sweepFam := flag.Bool("sweep", false,
-		"run the design-space exploration family (shorthand for naming 'sweep calibration')")
-	sampled := flag.Bool("sample", false,
-		"run the sampled-simulation experiment (shorthand for naming 'sampled')")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: validate [-j N] [-list] [-breakdown] [-sweep] [-sample] [experiment ...]\n")
+			"usage: validate [-j N] [-list] [experiment ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -56,57 +47,52 @@ func main() {
 		}
 		return
 	}
+	// The experiments come from the same registry the simd service
+	// routes /v1/experiment/{name} through, so the two can never
+	// disagree about which experiments exist.
+	os.Exit(run(validate.Experiments(), flag.Args(),
+		validate.Options{Parallelism: *jobs}, os.Stdout, os.Stderr))
+}
 
-	// The suite comes from the same registry the simd service routes
-	// /v1/experiment/{name} through, so the two can never disagree
-	// about which experiments exist.
-	suite := validate.NewSuite(validate.Options{Parallelism: *jobs})
-
-	selected := flag.Args()
-	if *breakdown && !contains(selected, "breakdown") {
-		selected = append(selected, "breakdown")
+// run executes the named experiments, or all of them when names is
+// empty, one after another in the order of exps, whatever the order
+// of names; each is internally parallel across its own cells. It
+// prints each output to stdout as it completes and each failure to
+// stderr, runs the rest past a failure, and returns the exit status:
+// 0, 1 when any experiment failed, or 2 for an unknown name, reported
+// before anything runs.
+func run(exps []validate.Experiment, names []string, opt validate.Options, stdout, stderr io.Writer) int {
+	have := make([]string, len(exps))
+	for i, e := range exps {
+		have[i] = e.Name
 	}
-	if *sweepFam {
-		for _, name := range []string{"sweep", "calibration"} {
-			if !contains(selected, name) {
-				selected = append(selected, name)
-			}
-		}
-	}
-	if *sampled && !contains(selected, "sampled") {
-		selected = append(selected, "sampled")
-	}
-	for _, name := range selected {
-		if !suite.Has(name) {
-			fmt.Fprintf(os.Stderr, "validate: unknown experiment %q (have: %s)\n",
-				name, strings.Join(suite.Names(), ", "))
-			os.Exit(2)
+	for _, name := range names {
+		if !slices.Contains(have, name) {
+			fmt.Fprintf(stderr, "validate: unknown experiment %q (have: %s)\n",
+				name, strings.Join(have, ", "))
+			return 2
 		}
 	}
 
 	var failures []string
 	ran := 0
-	failed := suite.Run(selected, func(r runner.Result) {
+	for _, e := range exps {
+		if len(names) > 0 && !slices.Contains(names, e.Name) {
+			continue
+		}
 		ran++
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", r.Name, r.Err)
-			failures = append(failures, r.Name)
-			return
+		out, err := e.Run(opt)
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
+			failures = append(failures, e.Name)
+			continue
 		}
-		fmt.Println(r.Output)
-	})
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "validate: %d of %d experiments failed: %s\n",
-			failed, ran, strings.Join(failures, ", "))
-		os.Exit(1)
+		fmt.Fprintln(stdout, out)
 	}
-}
-
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
+	if len(failures) > 0 {
+		fmt.Fprintf(stderr, "validate: %d of %d experiments failed: %s\n",
+			len(failures), ran, strings.Join(failures, ", "))
+		return 1
 	}
-	return false
+	return 0
 }

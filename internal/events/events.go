@@ -70,9 +70,6 @@ const (
 	ModelRUU
 	// ModelInOrder is the single-issue blocking-cache model.
 	ModelInOrder
-	// ModelNative is the reference DS-10L (the alpha model at full
-	// fidelity measured through the DCPI profiler emulation).
-	ModelNative
 	// ModelInterval is the analytical interval-model estimator: cycles
 	// derived from measured event counts rather than simulated per
 	// cycle, so only the miss/mispredict events apply to it.
@@ -80,10 +77,11 @@ const (
 )
 
 // allModels is every model family.
-const allModels = ModelAlpha | ModelRUU | ModelInOrder | ModelNative | ModelInterval
+const allModels = ModelAlpha | ModelRUU | ModelInOrder | ModelInterval
 
-// alphaSide is the 21264 pipeline and its native measurement.
-const alphaSide = ModelAlpha | ModelNative
+// alphaSide is the 21264 pipeline, which the native reference
+// machine also runs.
+const alphaSide = ModelAlpha
 
 // Def describes one event: its canonical counter name, its unit, the
 // models it applies to, and a one-line meaning.
@@ -222,16 +220,6 @@ func (s Stack) Sum() uint64 {
 	return t
 }
 
-// Map renders the stack as a name-keyed map (for callers that want
-// the legacy map shape).
-func (s Stack) Map() map[string]uint64 {
-	out := make(map[string]uint64, NumComponents)
-	for c := Component(0); c < NumComponents; c++ {
-		out[c.Name()] = s[c]
-	}
-	return out
-}
-
 // MarshalJSON renders the stack as an object with components in
 // canonical order, so JSON output is deterministic and readable:
 //
@@ -270,31 +258,23 @@ func (s *Stack) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Probe receives instrumentation from a pipeline core as it runs:
+// Collector receives instrumentation from a pipeline core as it runs:
 // occurrence counts at miss/trap/mispredict points and cycle
 // attribution at stall points. The core contract is that Attribute is
 // called for every cycle the machine did not retire work, with the
 // component that caused the stall, so the base component can be
-// derived as the exact remainder (see Collector.Finish).
-type Probe interface {
-	// Count records n occurrences of the event.
-	Count(id ID, n uint64)
-	// Attribute charges cycles to a CPI-stack component.
-	Attribute(c Component, cycles uint64)
-}
-
-// Collector is the standard Probe: fixed-size arrays, no maps and no
-// allocation on the hot path, so a pipeline core can call it every
-// cycle without measurable overhead.
+// derived as the exact remainder (see Finish). It uses fixed-size
+// arrays, no maps and no allocation on the hot path, so a pipeline
+// core can call it every cycle without measurable overhead.
 type Collector struct {
 	counts [NumEvents]uint64
 	stack  Stack
 }
 
-// Count implements Probe.
+// Count records n occurrences of the event.
 func (c *Collector) Count(id ID, n uint64) { c.counts[id] += n }
 
-// Attribute implements Probe.
+// Attribute charges cycles to a CPI-stack component.
 func (c *Collector) Attribute(comp Component, cycles uint64) { c.stack[comp] += cycles }
 
 // Get returns one event's accumulated count.

@@ -103,76 +103,3 @@ func Map[T, R any](parallelism int, items []T, f func(i int, item T) (R, error))
 	}
 	return results, errors.Join(joined...)
 }
-
-// Experiment is one named unit of a Suite: a table or figure
-// regeneration that renders to text.
-type Experiment struct {
-	Name string
-	Run  func() (fmt.Stringer, error)
-}
-
-// Result is the outcome of one Experiment.
-type Result struct {
-	Name   string
-	Output fmt.Stringer // nil when Err is set
-	Err    error
-}
-
-// Failed reports whether the experiment returned an error.
-func (r Result) Failed() bool { return r.Err != nil }
-
-// Suite is an ordered collection of experiments, the unit cmd/validate
-// executes. Experiments run one after another in registration order —
-// each is internally parallel across its own cells — so output order
-// and core utilization are both stable.
-type Suite struct {
-	exps []Experiment
-}
-
-// Add registers an experiment under a unique name.
-func (s *Suite) Add(name string, run func() (fmt.Stringer, error)) {
-	s.exps = append(s.exps, Experiment{Name: name, Run: run})
-}
-
-// Names returns the registered experiment names in order.
-func (s *Suite) Names() []string {
-	out := make([]string, len(s.exps))
-	for i, e := range s.exps {
-		out[i] = e.Name
-	}
-	return out
-}
-
-// Has reports whether an experiment with the name is registered.
-func (s *Suite) Has(name string) bool {
-	for _, e := range s.exps {
-		if e.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Run executes the selected experiments in registration order and
-// streams each Result to emit as it completes. A nil selection (or
-// empty set) runs everything; an error in one experiment does not
-// stop the others. It returns the number of failed experiments.
-func (s *Suite) Run(selected []string, emit func(Result)) int {
-	want := make(map[string]bool, len(selected))
-	for _, name := range selected {
-		want[name] = true
-	}
-	failed := 0
-	for _, e := range s.exps {
-		if len(want) > 0 && !want[e.Name] {
-			continue
-		}
-		out, err := e.Run()
-		if err != nil {
-			failed++
-			out = nil
-		}
-		emit(Result{Name: e.Name, Output: out, Err: err})
-	}
-	return failed
-}

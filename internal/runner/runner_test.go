@@ -101,47 +101,3 @@ func TestWorkers(t *testing.T) {
 		t.Error("defaulted worker count not positive")
 	}
 }
-
-type text string
-
-func (t text) String() string { return string(t) }
-
-func TestSuiteRunsSelectionInOrder(t *testing.T) {
-	var s Suite
-	mk := func(out string, err error) func() (fmt.Stringer, error) {
-		return func() (fmt.Stringer, error) {
-			if err != nil {
-				return nil, err
-			}
-			return text(out), nil
-		}
-	}
-	s.Add("a", mk("A", nil))
-	s.Add("b", mk("", errors.New("nope")))
-	s.Add("c", mk("C", nil))
-
-	var seen []string
-	failed := s.Run(nil, func(r Result) { seen = append(seen, r.Name) })
-	if failed != 1 {
-		t.Errorf("failed = %d, want 1", failed)
-	}
-	if strings.Join(seen, ",") != "a,b,c" {
-		t.Errorf("order = %v", seen)
-	}
-
-	seen = nil
-	failed = s.Run([]string{"c", "a"}, func(r Result) { seen = append(seen, r.Name) })
-	if failed != 0 {
-		t.Errorf("failed = %d, want 0", failed)
-	}
-	// Registration order wins, not selection order.
-	if strings.Join(seen, ",") != "a,c" {
-		t.Errorf("selection order = %v", seen)
-	}
-	if !s.Has("b") || s.Has("zzz") {
-		t.Error("Has misreports")
-	}
-	if strings.Join(s.Names(), ",") != "a,b,c" {
-		t.Errorf("names = %v", s.Names())
-	}
-}

@@ -157,7 +157,12 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	}
 	work := wl.w.Capped(req.Limit)
 	if req.Sample != nil {
-		if err := req.Sample.Check(); err != nil {
+		if _, ok := m.(core.SampleCapable); !ok {
+			s.fail(w, http.StatusBadRequest,
+				"backend %q does not support interval sampling (tier %s)", spec.Name, spec.Tier)
+			return
+		}
+		if err := checkPlan(*req.Sample, work.MaxInstructions); err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}

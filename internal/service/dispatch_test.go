@@ -135,6 +135,26 @@ func TestCellRejectsOutOfBoundsConfigs(t *testing.T) {
 	}
 }
 
+// TestCellRejectsSamplingUnsamplable: a sampled cell on a backend
+// that cannot sample is the client's error, answered 400 like the same
+// cell on /v1/run, and the daemon keeps serving.
+func TestCellRejectsSamplingUnsamplable(t *testing.T) {
+	_, ts := newWorker(t)
+	body := `{"machine":"sim-interval","workload":"C-Ca","limit":2000,"sample":{"period":1000,"warmup":100,"measure":100}}`
+	resp, err := http.Post(ts.URL+"/v1/cell", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "does not support interval sampling") {
+		t.Errorf("sampled sim-interval cell = %d %s, want 400", resp.StatusCode, out)
+	}
+	if code, body, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz = %d %s after the request", code, body)
+	}
+}
+
 // TestDistributedSweepByteIdentical is the tier's core guarantee: a
 // sweep sharded over two workers returns byte-for-byte the result a
 // single node computes.

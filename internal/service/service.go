@@ -408,6 +408,22 @@ func (p RunRequest) samplePlan(limit uint64) core.SamplePlan {
 	return plan
 }
 
+// checkPlan validates a sampling plan for a cell with the given
+// instruction budget. A plan whose first warmup and measure window
+// does not fit a known budget can measure nothing, so it is rejected
+// before anything is cached or simulated; a zero budget (a run to
+// HALT) is not known until the run ends.
+func checkPlan(p core.SamplePlan, budget uint64) error {
+	if err := p.Check(); err != nil {
+		return err
+	}
+	if budget > 0 && p.Detailed() > budget {
+		return fmt.Errorf("sample plan: warmup+measure (%d) exceeds the %d-instruction budget, so no interval can be measured",
+			p.Detailed(), budget)
+	}
+	return nil
+}
+
 // SampledInfo is the sampling block of a sampled /v1/run response.
 type SampledInfo struct {
 	Plan                 core.SamplePlan `json:"plan"`
@@ -537,7 +553,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var key simcache.Key
 	if p.Sample {
 		plan := p.samplePlan(work.MaxInstructions)
-		if err := plan.Check(); err != nil {
+		if err := checkPlan(plan, work.MaxInstructions); err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -597,7 +613,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if res.Sampled != nil {
 			est, err := sample.FromResult(res, sample.DefaultLevel)
 			if err != nil {
-				return nil, err
+				// The plan measured nothing before the workload halted.
+				return nil, clientError{err}
 			}
 			n := len(res.Sampled.Samples)
 			s.metrics.Counter("sample_runs_total").Inc()
@@ -713,6 +730,10 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key simcach
 			s.cfg.RequestTimeout)
 		return
 	case o := <-done:
+		if errors.As(o.err, new(clientError)) {
+			s.fail(w, http.StatusBadRequest, "%v", o.err)
+			return
+		}
 		if o.err != nil {
 			s.metrics.Counter("simulation_errors_total").Inc()
 			s.fail(w, http.StatusInternalServerError, "simulation failed: %v", o.err)
@@ -727,6 +748,11 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key simcach
 		w.Write(o.body)
 	}
 }
+
+// clientError is a computation's error that the request caused, such
+// as a sampling plan that measured nothing; serveCached answers it
+// with 400 rather than 500.
+type clientError struct{ error }
 
 func cacheStatus(cached bool) string {
 	if cached {

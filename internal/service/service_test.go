@@ -491,6 +491,62 @@ func TestBackendParamAndCapabilityGate(t *testing.T) {
 	}
 }
 
+// TestSamplePlansThatMeasureNothing: a sampling plan that completes
+// no measured interval is the client's error on both routes, 400 and
+// not 500. With a limit it is rejected before anything runs; a run to
+// HALT finds out only when the run ends.
+func TestSamplePlansThatMeasureNothing(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, c := range []struct {
+		name, route, body, want string
+		simulated               uint64
+	}{
+		{
+			name:  "run-over-limit",
+			route: "/v1/run?machine=sim-alpha&workload=C-Ca&limit=100&sample_period=1000&sample_warmup=200&sample_measure=200",
+			want:  "exceeds the 100-instruction budget",
+		},
+		{
+			name:  "cell-over-limit",
+			route: "/v1/cell",
+			body:  `{"machine":"sim-alpha","workload":"C-Ca","limit":100,"sample":{"period":1000,"warmup":200,"measure":200}}`,
+			want:  "exceeds the 100-instruction budget",
+		},
+		{
+			name:      "run-to-halt",
+			route:     "/v1/run?machine=sim-alpha&workload=C-Ca&sample_period=100000000&sample_warmup=50000000&sample_measure=1",
+			want:      "completed no measured intervals",
+			simulated: 1,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := s.Metrics().Counter("cells_simulated_total").Value()
+			var code int
+			var body []byte
+			if c.body == "" {
+				code, _, body = get(t, ts.URL+c.route)
+			} else {
+				resp, err := http.Post(ts.URL+c.route, "application/json", strings.NewReader(c.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				code = resp.StatusCode
+			}
+			if code != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+				t.Errorf("%s = %d %s, want 400 with %q", c.route, code, body, c.want)
+			}
+			if n := s.Metrics().Counter("cells_simulated_total").Value() - before; n != c.simulated {
+				t.Errorf("simulated %d cells, want %d", n, c.simulated)
+			}
+			if code, _, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+				t.Fatalf("/healthz = %d after the request", code)
+			}
+		})
+	}
+}
+
 // TestPostBodyBound sends a body past maxBodyBytes to every POST
 // route: each answers 413 without decoding it, and the server keeps
 // answering afterwards.

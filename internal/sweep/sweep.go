@@ -61,16 +61,6 @@ func Bools(name, field string, vals ...bool) Axis {
 	return a
 }
 
-// Strings builds a string-valued axis (policy selectors such as a
-// DDR row-buffer policy or scheduler name).
-func Strings(name, field string, vals ...string) Axis {
-	a := Axis{Name: name, Field: field}
-	for _, v := range vals {
-		a.Values = append(a.Values, v)
-	}
-	return a
-}
-
 // Space is a design space: a base configuration (a machine config
 // struct such as alpha.Config) and the axes swept over it. Check
 // validates the whole space against the base config's type before

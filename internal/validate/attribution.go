@@ -152,9 +152,9 @@ func Attribution(opt Options) (AttributionResult, error) {
 	for i, f := range suite {
 		fam := AttributionFamily{Name: f.Name, Axis: f.Axis, Edge: f.Edge, Levels: f.Levels}
 		for k := range f.Levels {
-			w := ws[starts[i]+k]
-			fam.DetailedCPI = append(fam.DetailedCPI, grids[0][w.Name].CPI())
-			fam.AnalyticalCPI = append(fam.AnalyticalCPI, grids[1][w.Name].CPI())
+			w := starts[i] + k
+			fam.DetailedCPI = append(fam.DetailedCPI, grids[0][w].CPI())
+			fam.AnalyticalCPI = append(fam.AnalyticalCPI, grids[1][w].CPI())
 		}
 		fam.Detailed = detectCliff(f.Levels, fam.DetailedCPI)
 		fam.Analytical = detectCliff(f.Levels, fam.AnalyticalCPI)

@@ -57,8 +57,8 @@ func Breakdown(opt Options) (BreakdownResult, error) {
 	var out BreakdownResult
 	for m, grid := range grids {
 		sec := BreakdownSection{Machine: names[m]}
-		for _, w := range ws {
-			r := grid[w.Name]
+		for i, w := range ws {
+			r := grid[i]
 			row := BreakdownRow{Workload: w.Name, CPI: r.CPI()}
 			for c := events.Component(0); c < events.NumComponents; c++ {
 				row.Comp[c] = r.ComponentCPI(c)

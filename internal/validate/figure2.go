@@ -10,13 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-// RF configurations in Figure 2's legend order.
-var Figure2Configs = []string{
-	"1 cycle, full bypass",
-	"2 cycle, full bypass",
-	"2 cycle, partial bypass",
-}
-
 // Figure2Series is one benchmark's bars: the abstract 8-way
 // simulator's IPCs (the full bars in the paper's figure) and
 // sim-alpha's (the dark lower portions).
@@ -66,22 +59,22 @@ func Figure2(opt Options) (Figure2Result, error) {
 	}
 
 	var out Figure2Result
-	var abs [3]map[string]core.RunResult
-	var alp [3]map[string]core.RunResult
+	var abs [3][]core.RunResult
+	var alp [3][]core.RunResult
 	for i := 0; i < 3; i++ {
 		abs[i], alp[i] = grids[2*i], grids[2*i+1]
 	}
-	for _, w := range ws {
+	for j, w := range ws {
 		s := Figure2Series{Benchmark: w.Name}
 		for i := 0; i < 3; i++ {
-			s.AbstractIPC[i] = abs[i][w.Name].IPC()
-			s.AlphaIPC[i] = alp[i][w.Name].IPC()
+			s.AbstractIPC[i] = abs[i][j].IPC()
+			s.AlphaIPC[i] = alp[i][j].IPC()
 		}
 		out.Series = append(out.Series, s)
 	}
 	for i := 0; i < 3; i++ {
-		out.AbstractHMean[i] = hmeanOf(abs[i], ws)
-		out.AlphaHMean[i] = hmeanOf(alp[i], ws)
+		out.AbstractHMean[i] = hmeanOf(abs[i])
+		out.AlphaHMean[i] = hmeanOf(alp[i])
 	}
 	for i := 0; i < 2; i++ {
 		out.AbstractLossPct[i] = -stats.PctChange(out.AbstractHMean[0], out.AbstractHMean[i+1])

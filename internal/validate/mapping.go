@@ -59,12 +59,12 @@ func MappingStudy(opt Options) (MappingResult, error) {
 	}
 
 	var out MappingResult
-	for _, w := range ws {
+	for j, w := range ws {
 		var row MappingRow
 		row.Benchmark = w.Name
 		ipcs := make([]float64, 3)
 		for i := range cfgs {
-			ipcs[i] = grids[i][w.Name].IPC()
+			ipcs[i] = grids[i][j].IPC()
 		}
 		row.SeqIPC, row.ColorIPC, row.HashIPC = ipcs[0], ipcs[1], ipcs[2]
 		lo, hi := ipcs[0], ipcs[0]

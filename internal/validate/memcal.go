@@ -78,17 +78,14 @@ func MemoryCalibration(opt Options) (MemCalResult, error) {
 		return MemCalResult{}, err
 	}
 
-	natTimes := make(map[string]float64, len(ws))
-	for _, w := range ws {
-		natTimes[w.Name] = float64(grids[0][w.Name].Cycles)
-	}
 	var out MemCalResult
 	for pi, pt := range points {
 		res := grids[pi+1]
 		var errs []float64
-		for i, w := range ws {
+		for i := range ws {
 			// Percent difference in execution time.
-			e := (float64(res[w.Name].Cycles) - natTimes[w.Name]) / natTimes[w.Name] * 100
+			nat := float64(grids[0][i].Cycles)
+			e := (float64(res[i].Cycles) - nat) / nat * 100
 			pt.Errs[i] = e
 			errs = append(errs, e)
 		}

@@ -184,7 +184,7 @@ func Memory(opt Options) (MemoryResult, error) {
 		return out, err
 	}
 	for i, w := range calWS {
-		nat, flat, ddr := ref[i], flatGrid[0][w.Name], origin[0].Results[i]
+		nat, flat, ddr := ref[i], flatGrid[0][i], origin[0].Results[i]
 		out.Micro = append(out.Micro, MemoryMicroRow{
 			Workload:  w.Name,
 			NativeCPI: nat.CPI(),
@@ -208,11 +208,11 @@ func Memory(opt Options) (MemoryResult, error) {
 		return out, err
 	}
 	var flatErrs, defErrs, calErrs []float64
-	for _, w := range macroWS {
-		nat := macroGrids[0][w.Name]
-		flat := macroGrids[1][w.Name]
-		def := macroGrids[2][w.Name]
-		calR := macroGrids[3][w.Name]
+	for i, w := range macroWS {
+		nat := macroGrids[0][i]
+		flat := macroGrids[1][i]
+		def := macroGrids[2][i]
+		calR := macroGrids[3][i]
 		row := MemoryMacroRow{
 			Workload: w.Name,
 			MemBound: memoryBound[w.Name],
@@ -265,18 +265,18 @@ func Memory(opt Options) (MemoryResult, error) {
 	for i, v := range variants {
 		out.Tiers = append(out.Tiers, MemoryTierRow{
 			Variant:    v.policy + "/" + v.sched,
-			Detailed:   hmeanOf(det[i], memWS),
-			Analytical: hmeanOf(ana[i], memWS),
+			Detailed:   hmeanOf(det[i]),
+			Analytical: hmeanOf(ana[i]),
 		})
 	}
 
 	// Per-workload pairwise ranking flips: the detailed tier strictly
 	// prefers one variant, the analytical tier strictly the other.
-	for _, w := range memWS {
+	for k, w := range memWS {
 		for i := range variants {
 			for j := i + 1; j < len(variants); j++ {
-				di, dj := det[i][w.Name].CPI(), det[j][w.Name].CPI()
-				ai, aj := ana[i][w.Name].CPI(), ana[j][w.Name].CPI()
+				di, dj := det[i][k].CPI(), det[j][k].CPI()
+				ai, aj := ana[i][k].CPI(), ana[j][k].CPI()
 				if di == dj || ai == aj {
 					continue
 				}

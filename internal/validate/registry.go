@@ -1,10 +1,6 @@
 package validate
 
-import (
-	"fmt"
-
-	"repro/internal/runner"
-)
+import "fmt"
 
 // Experiment is one named, addressable experiment: the unit shared
 // by cmd/validate, the HTTP service, and anything else that needs to
@@ -17,10 +13,10 @@ type Experiment struct {
 }
 
 // registry lists every experiment in paper order. This is the single
-// source of truth: cmd/validate's suite, the service's
-// /v1/experiment/{name} routes, and probe's listings all come from
-// here, so a new experiment added to this table is immediately
-// addressable everywhere.
+// source of truth: cmd/validate, the service's /v1/experiment/{name}
+// routes, and probe's listings all come from here, so a new
+// experiment added to this table is immediately addressable
+// everywhere.
 var registry = []Experiment{
 	{"table1", "Instruction-latency conformance (Table 1)",
 		func(o Options) (fmt.Stringer, error) { return Table1(o) }},
@@ -80,15 +76,4 @@ func ExperimentByName(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// NewSuite assembles the full registry into a runner.Suite bound to
-// the options, ready for cmd/validate-style sequential execution.
-func NewSuite(opt Options) *runner.Suite {
-	var s runner.Suite
-	for _, e := range registry {
-		run := e.Run
-		s.Add(e.Name, func() (fmt.Stringer, error) { return run(opt) })
-	}
-	return &s
 }

@@ -78,22 +78,6 @@ func TestExperimentsReturnsCopy(t *testing.T) {
 	}
 }
 
-// TestNewSuiteMatchesRegistry checks the suite cmd/validate executes
-// is exactly the registry, in order.
-func TestNewSuiteMatchesRegistry(t *testing.T) {
-	s := NewSuite(Options{Limit: 1000})
-	names := s.Names()
-	want := ExperimentNames()
-	if len(names) != len(want) {
-		t.Fatalf("suite has %d experiments, registry has %d", len(names), len(want))
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("suite[%d] = %q, registry[%d] = %q", i, names[i], i, want[i])
-		}
-	}
-}
-
 // TestRegistryRunMatchesDirectCall runs one experiment through the
 // registry indirection and requires byte-identical output to the
 // direct call — the property the HTTP service's cache relies on.

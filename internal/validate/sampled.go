@@ -55,21 +55,15 @@ func Sampled(opt Options) (SampledResult, error) {
 	ws := opt.apply(macrobench.Suite())
 	plan := sample.PlanFor(opt.Limit)
 
-	// Two sim-alpha grids over the same workloads: in full, and each
-	// under its own plan (runGrid keys results by workload name, so
-	// the two runs of one workload need two grids).
-	sws := make([]core.Workload, len(ws))
-	for i, w := range ws {
+	// One sim-alpha grid: every workload in full, then each again under
+	// its own plan.
+	all := append([]core.Workload(nil), ws...)
+	for _, w := range ws {
 		p := sample.PlanFor(w.MaxInstructions)
-		sws[i] = w
-		sws[i].Sample = &p
+		w.Sample = &p
+		all = append(all, w)
 	}
-	cfgs := []any{model.DefaultAlphaConfig()}
-	fullGrid, err := runGrid(opt, cfgs, ws)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	sampledGrid, err := runGrid(opt, cfgs, sws)
+	grid, err := runGrid(opt, []any{model.DefaultAlphaConfig()}, all)
 	if err != nil {
 		return SampledResult{}, err
 	}
@@ -77,8 +71,8 @@ func Sampled(opt Options) (SampledResult, error) {
 	out := SampledResult{Plan: plan}
 	var absErrs []float64
 	var stream, detailed uint64
-	for _, w := range ws {
-		full, sampled := fullGrid[0][w.Name], sampledGrid[0][w.Name]
+	for i, w := range ws {
+		full, sampled := grid[0][i], grid[0][len(ws)+i]
 		est, err := sample.FromResult(sampled, sample.DefaultLevel)
 		if err != nil {
 			return SampledResult{}, fmt.Errorf("%s: %w", w.Name, err)

@@ -55,12 +55,12 @@ func SamplingStudy(opt Options) (SamplingResult, error) {
 		// fewer event transitions.
 		cfg.JitterPPM = 20 * interval / 1000
 		var dil, errs []float64
-		for _, w := range ws {
-			m := model.MeasureDCPI(cfg, truth[w.Name])
+		for _, t := range truth {
+			m := model.MeasureDCPI(cfg, t)
 			noJitter := cfg
 			noJitter.JitterPPM = 0
-			d := model.MeasureDCPI(noJitter, truth[w.Name])
-			dil = append(dil, pct(d.Cycles, truth[w.Name].Cycles))
+			d := model.MeasureDCPI(noJitter, t)
+			dil = append(dil, pct(d.Cycles, t.Cycles))
 			errs = append(errs, math.Abs(pct(m.Cycles, d.Cycles)))
 		}
 		p := SamplingPoint{

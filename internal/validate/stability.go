@@ -136,8 +136,8 @@ func Stability(opt Options) (StabilityResult, error) {
 	// Baseline accuracy: how far the analytical CPI sits from the
 	// detailed CPI, per macrobenchmark.
 	var absSum float64
-	for _, w := range ws {
-		d, a := det[0][w.Name], ana[0][w.Name]
+	for i, w := range ws {
+		d, a := det[0][i], ana[0][i]
 		e := stats.PctErrorCPI(d.IPC(), a.IPC())
 		absSum += math.Abs(e)
 		out.Accuracy = append(out.Accuracy, StabilityAccuracy{
@@ -150,13 +150,13 @@ func Stability(opt Options) (StabilityResult, error) {
 	out.MeanAbsError = absSum / float64(len(ws))
 
 	// Improvements per tier.
-	detBase := hmeanOf(det[0], ws)
-	anaBase := hmeanOf(ana[0], ws)
+	detBase := hmeanOf(det[0])
+	anaBase := hmeanOf(ana[0])
 	for k, name := range StabilityOptimizations {
 		out.Rows = append(out.Rows, StabilityRow{
 			Optimization: name,
-			Detailed:     stats.PctChange(detBase, hmeanOf(det[1+k], ws)),
-			Analytical:   stats.PctChange(anaBase, hmeanOf(ana[1+k], ws)),
+			Detailed:     stats.PctChange(detBase, hmeanOf(det[1+k])),
+			Analytical:   stats.PctChange(anaBase, hmeanOf(ana[1+k])),
 		})
 	}
 

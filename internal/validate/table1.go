@@ -54,7 +54,7 @@ func Table1(opt Options) (Table1Result, error) {
 		rows[i] = Table1Row{
 			Class:     c.name,
 			Specified: c.specified,
-			Measured:  float64(res[0][ws[i].Name].Cycles) / float64(ops[i]),
+			Measured:  float64(res[0][i].Cycles) / float64(ops[i]),
 		}
 	}
 	return Table1Result{Rows: rows}, nil

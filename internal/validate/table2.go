@@ -56,8 +56,8 @@ func Table2(opt Options) (Table2Result, error) {
 
 	var out Table2Result
 	var ie, ae, oe []float64
-	for _, w := range ws {
-		nr, ir, ar, or := nat[w.Name], initial[w.Name], valid[w.Name], outorder[w.Name]
+	for i, w := range ws {
+		nr, ir, ar, or := nat[i], initial[i], valid[i], outorder[i]
 		row := Table2Row{
 			Name:        w.Name,
 			NativeIPC:   nr.IPC(),

@@ -55,8 +55,8 @@ func Table3(opt Options) (Table3Result, error) {
 
 	var out Table3Result
 	var nIPC, aIPC, sIPC, oIPC, aErr, sErr, oErr []float64
-	for _, w := range ws {
-		n, a, s, o := nat[w.Name], al[w.Name], st[w.Name], oo[w.Name]
+	for i, w := range ws {
+		n, a, s, o := nat[i], al[i], st[i], oo[i]
 		row := Table3Row{
 			Name:        w.Name,
 			NativeIPC:   n.IPC(),

@@ -44,23 +44,17 @@ func Table4(opt Options) (Table4Result, error) {
 	}
 
 	ref := grids[0]
-	var refIPCs []float64
-	for _, w := range ws {
-		refIPCs = append(refIPCs, ref[w.Name].IPC())
-	}
-	out := Table4Result{RefIPC: stats.HarmonicMean(refIPCs)}
+	out := Table4Result{RefIPC: hmeanOf(ref)}
 
 	for fi, feat := range model.AlphaFeatures() {
 		res := grids[fi+1]
-		var ipcs, changes []float64
-		for _, w := range ws {
-			ipc := res[w.Name].IPC()
-			ipcs = append(ipcs, ipc)
-			changes = append(changes, stats.PctChange(ref[w.Name].IPC(), ipc))
+		var changes []float64
+		for i, r := range res {
+			changes = append(changes, stats.PctChange(ref[i].IPC(), r.IPC()))
 		}
 		out.Cols = append(out.Cols, Table4Col{
 			Feature:   feat,
-			HMeanIPC:  stats.HarmonicMean(ipcs),
+			HMeanIPC:  hmeanOf(res),
 			MeanPct:   stats.Mean(changes),
 			StdDevPct: stats.StdDev(changes),
 		})

@@ -113,7 +113,7 @@ func Table5(opt Options) (Table5Result, error) {
 	}
 	base := make([]float64, len(machines))
 	for i := range machines {
-		base[i] = hmeanOf(grids[i*len(variants)], ws)
+		base[i] = hmeanOf(grids[i*len(variants)])
 	}
 	for k := range Table5Optimizations {
 		row := make([]Table5Cell, len(machines))
@@ -121,7 +121,7 @@ func Table5(opt Options) (Table5Result, error) {
 			res := grids[i*len(variants)+1+k]
 			row[i] = Table5Cell{
 				Config:      m.name,
-				Improvement: stats.PctChange(base[i], hmeanOf(res, ws)),
+				Improvement: stats.PctChange(base[i], hmeanOf(res)),
 			}
 		}
 		out.Cells = append(out.Cells, row)
