@@ -49,12 +49,8 @@ func (e *StatusError) Error() string {
 }
 
 // Run simulates one cell through POST /v1/run and returns the result
-// with its cache status (the X-Simcache header: hit or miss). Setting
-// any Sample* knob requests sampling, as it does on GET /v1/run.
+// with its cache status (the X-Simcache header: hit or miss).
 func (c *Client) Run(ctx context.Context, req RunRequest) (RunResponse, string, error) {
-	if req.SamplePeriod > 0 || req.SampleWarmup > 0 || req.SampleMeasure > 0 || req.SampleIntervals > 0 {
-		req.Sample = true
-	}
 	var out RunResponse
 	hdr, err := c.call(ctx, http.MethodPost, "/v1/run", req, http.StatusOK, &out)
 	if err != nil {

@@ -23,7 +23,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -44,10 +43,10 @@ import (
 
 // CellRequest is the POST /v1/cell body: one simulation cell by
 // machine, workload name and budget. Config, when present, is the
-// cell's config as JSON, decoded strictly over a copy of the
-// machine's registered config: omitted fields keep their registered
-// values, so {"machine":"sim-alpha","config":{"ROB":20}} is the
-// ROB-20 point.
+// cell's config as JSON, decoded strictly over the machine's
+// registered config by sweep.Override, the decoder that also applies
+// sweep points: omitted fields keep their registered values, so
+// {"machine":"sim-alpha","config":{"ROB":20}} is the ROB-20 point.
 type CellRequest struct {
 	Machine  string           `json:"machine"`
 	Workload string           `json:"workload"`
@@ -87,119 +86,136 @@ func newCellRequest(cfg any, work core.Workload, gen *workgen.Spec) (CellRequest
 	return req, err
 }
 
-// cellConfig reads a cell's config: the request's JSON decoded over a
-// copy of the machine's registered config. An unknown field, or a
-// value its field cannot hold, is an error.
-func cellConfig(base any, raw json.RawMessage) (any, error) {
-	cfg := reflect.New(reflect.TypeOf(base))
-	cfg.Elem().Set(reflect.ValueOf(base))
-	if len(raw) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(cfg.Interface()); err != nil {
-			return nil, fmt.Errorf("config: %w", err)
+// cell is one resolved simulation cell: a machine's config, which
+// passes its Check, and the workload under the request's budget.
+type cell struct {
+	spec model.Descriptor // the machine's registry entry
+	cfg  any
+	work core.Workload
+	gen  *workgen.Spec // a generated workload's spec, else nil
+}
+
+// cellOf resolves a cell as /v1/run and /v1/cell both name it: a
+// registered machine, with config (if any) decoded over its registered
+// config by sweep.Override; a catalogue workload, or the one gen
+// generates; and the limit, capping the workload's budget. A failure
+// comes with the HTTP status that answers it. Nothing has been cached
+// or simulated: a config outside its bounds fails here. A registered
+// config passed its Check when it was registered, so only a config
+// the request changed is checked again.
+func (s *Server) cellOf(machine string, config json.RawMessage, workload string, gen *workgen.Spec, limit uint64) (*cell, int, error) {
+	spec, err := model.ByName(machine)
+	if err != nil {
+		return nil, http.StatusNotFound, fmt.Errorf("unknown machine: %w", err)
+	}
+	c := &cell{spec: spec, gen: gen}
+	if gen != nil {
+		if err := gen.Check(); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		if c.work, err = workgen.Generate(*gen); err != nil {
+			return nil, http.StatusBadRequest, fmt.Errorf("generate: %w", err)
+		}
+		if workload != "" && workload != c.work.Name {
+			return nil, http.StatusBadRequest,
+				fmt.Errorf("workload %q does not match generated name %q", workload, c.work.Name)
+		}
+	} else {
+		s.wlMu.RLock()
+		wl, ok := s.byWork[workload]
+		s.wlMu.RUnlock()
+		if !ok {
+			return nil, http.StatusNotFound, fmt.Errorf("unknown workload %q (see /v1/workloads)", workload)
+		}
+		c.work, c.gen = wl.w, wl.gen
+	}
+	c.work = c.work.Capped(limit)
+	if c.cfg, err = sweep.Override(spec.Config, config); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if len(config) > 0 {
+		if _, err := model.Build(c.cfg); err != nil {
+			return nil, http.StatusBadRequest, err
 		}
 	}
-	return cfg.Elem().Interface(), nil
+	return c, 0, nil
+}
+
+// sample puts the cell under a sampling plan. A machine that cannot
+// sample or an invalid plan is the client's error, and so is a plan
+// whose first warmup and measure window does not fit a known budget:
+// it can measure nothing, so it is rejected before anything is cached
+// or simulated. A zero budget (a run to HALT) is not known until the
+// run ends; simulate rejects that run if it measured nothing.
+func (c *cell) sample(p core.SamplePlan) error {
+	if _, ok := c.cfg.(core.SampleCapable); !ok {
+		return fmt.Errorf("backend %q does not support interval sampling (tier %s)", c.spec.Name, c.spec.Tier)
+	}
+	if err := p.Check(); err != nil {
+		return err
+	}
+	if budget := c.work.MaxInstructions; budget > 0 && p.Detailed() > budget {
+		return fmt.Errorf("sample plan: warmup+measure (%d) exceeds the %d-instruction budget, so no interval can be measured",
+			p.Detailed(), budget)
+	}
+	c.work.Sample = &p
+	return nil
 }
 
 // handleCell is POST /v1/cell, the worker side of the distributed
-// tier: read the cell's config, run it through the local
-// content-addressed cache, and return the marshaled core.RunResult.
+// tier: resolve the cell, run it through the local content-addressed
+// cache, and return the marshaled core.RunResult.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var req CellRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	spec, err := model.ByName(req.Machine)
+	c, code, err := s.cellOf(req.Machine, req.Config, req.Workload, req.Generate, req.Limit)
 	if err != nil {
-		s.fail(w, http.StatusNotFound, "unknown machine: %v", err)
+		s.fail(w, code, "%v", err)
 		return
 	}
-	var wl workloadSpec
-	if req.Generate != nil {
-		if err := req.Generate.Check(); err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		wk, err := workgen.Generate(*req.Generate)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "generate: %v", err)
-			return
-		}
-		if req.Workload != "" && req.Workload != wk.Name {
-			s.fail(w, http.StatusBadRequest, "workload %q does not match generated name %q",
-				req.Workload, wk.Name)
-			return
-		}
-		wl = workloadSpec{w: wk, suite: "generated", gen: req.Generate}
-	} else {
-		var ok bool
-		s.wlMu.RLock()
-		wl, ok = s.byWork[req.Workload]
-		s.wlMu.RUnlock()
-		if !ok {
-			s.fail(w, http.StatusNotFound, "unknown workload %q", req.Workload)
-			return
-		}
-	}
-	cfg, err := cellConfig(spec.Config, req.Config)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Build before anything is cached or queued: a config outside its
-	// bounds is the client's error, answered without simulating.
-	m, err := model.Build(cfg)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	work := wl.w.Capped(req.Limit)
 	if req.Sample != nil {
-		if _, ok := m.(core.SampleCapable); !ok {
-			s.fail(w, http.StatusBadRequest,
-				"backend %q does not support interval sampling (tier %s)", spec.Name, spec.Tier)
-			return
-		}
-		if err := checkPlan(*req.Sample, work.MaxInstructions); err != nil {
+		if err := c.sample(*req.Sample); err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		work.Sample = req.Sample
 	}
 
 	// The same key the coordinator's sweep engine derives for this
 	// cell, so worker caches line up shard-by-shard with sweeps.
-	key := sweep.CellKey(cfg, work)
+	key := sweep.CellKey("sweep/v1", c.cfg, c.work)
 	s.serveCached(w, r, key, func() ([]byte, error) {
-		return s.simulate(m, work)
+		return s.simulate(c.cfg, c.work)
 	}, "application/json")
 }
 
 // runCell produces one cell's marshaled core.RunResult: dispatched to
 // the worker tier when there is one, and run in this process without
-// one or after any dispatch error, unless ctx is done. The bytes are
-// the same either way. A dispatched cell takes no simulation slot
-// here; its worker's pool bounds it.
+// one or after any dispatch error but a worker's 400, unless ctx is
+// done. The bytes are the same either way. A dispatched cell takes no
+// simulation slot here; its worker's pool bounds it.
 func (s *Server) runCell(ctx context.Context, cfg any, work core.Workload, gen *workgen.Spec) ([]byte, error) {
 	if s.dispatch != nil {
 		req, err := newCellRequest(cfg, work, gen)
 		if err != nil {
 			return nil, err
 		}
-		if body, err := s.dispatch.run(ctx, req); err == nil {
+		body, err := s.dispatch.run(ctx, req)
+		if err == nil {
 			return body, nil
+		}
+		// A worker's 400 is the cell's answer: the cell is the
+		// client's error wherever it runs.
+		var st *StatusError
+		if errors.As(err, &st) && st.Code == http.StatusBadRequest {
+			return nil, clientError{errors.New(st.Msg)}
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	m, err := model.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.simulate(m, work)
+	return s.simulate(cfg, work)
 }
 
 // workerRef is one registered worker with its liveness state.

@@ -155,6 +155,37 @@ func TestCellRejectsSamplingUnsamplable(t *testing.T) {
 	}
 }
 
+// TestMeasureNothingIsNeverCached: a sampled cell that runs to HALT
+// without completing a measured interval is a 400 on a worker's
+// /v1/cell, and on a coordinator's /v1/run, which answers with its
+// worker's 400 rather than running the cell again. Neither side
+// caches anything.
+func TestMeasureNothingIsNeverCached(t *testing.T) {
+	const want = "completed no measured intervals"
+	w, wts := newWorker(t)
+	coord, cts := newCoordinator(t, 30*time.Second, wts.URL)
+	code, _, body := post(t, wts.URL+"/v1/cell",
+		`{"machine":"sim-alpha","workload":"C-Ca","sample":{"period":100000000,"warmup":50000000,"measure":1}}`)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), want) {
+		t.Errorf("POST /v1/cell = %d %s, want 400 with %q", code, body, want)
+	}
+	code, _, body = get(t, cts.URL+"/v1/run?machine=sim-alpha&workload=C-Ca&sample_period=100000000&sample_warmup=50000000&sample_measure=1")
+	if code != http.StatusBadRequest || !strings.Contains(string(body), want) {
+		t.Errorf("coordinator GET /v1/run = %d %s, want 400 with %q", code, body, want)
+	}
+	for name, s := range map[string]*Server{"worker": w, "coordinator": coord} {
+		if n := s.cache.Stats().Entries; n != 0 {
+			t.Errorf("%s cache holds %d entries, want 0", name, n)
+		}
+	}
+	if n := coord.Metrics().Counter("cells_simulated_total").Value(); n != 0 {
+		t.Errorf("coordinator ran the rejected cell %d times", n)
+	}
+	if n := w.Metrics().Counter("cells_simulated_total").Value(); n != 2 {
+		t.Errorf("worker simulated %d cells, want 2", n)
+	}
+}
+
 // TestDistributedSweepByteIdentical is the tier's core guarantee: a
 // sweep sharded over two workers returns byte-for-byte the result a
 // single node computes.
@@ -464,7 +495,7 @@ func TestCellConfigRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: wire machine %q: %v", d.Name, req.Machine, err)
 		}
-		got, err := cellConfig(base.Config, req.Config)
+		got, err := sweep.Override(base.Config, req.Config)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
@@ -481,7 +512,7 @@ func TestCellConfigRoundTrip(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: POST /v1/cell = %d", d.Name, resp.StatusCode)
 		}
-		if key, want := resp.Header.Get("X-Simcache-Key"), sweep.CellKey(cfg, work).String(); key != want {
+		if key, want := resp.Header.Get("X-Simcache-Key"), sweep.CellKey("sweep/v1", cfg, work).String(); key != want {
 			t.Errorf("%s: worker key %s, coordinator key %s", d.Name, key, want)
 		}
 	}
@@ -503,7 +534,7 @@ func TestCellConfigIsSweepPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKey := sweep.CellKey(cfg, s.byWork["C-Ca"].w.Capped(3000)).String()
+	wantKey := sweep.CellKey("sweep/v1", cfg, s.byWork["C-Ca"].w.Capped(3000)).String()
 
 	body := `{"machine":"sim-alpha","workload":"C-Ca","limit":3000,"config":{"ROB":20}}`
 	post := func(url string) (string, string, []byte) {

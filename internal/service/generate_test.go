@@ -13,7 +13,8 @@ import (
 	"time"
 
 	"repro/internal/diskstore"
-	"repro/internal/simcache"
+	"repro/internal/model"
+	"repro/internal/sweep"
 	"repro/internal/workgen"
 )
 
@@ -38,10 +39,10 @@ func specBody(t *testing.T, s workgen.Spec) string {
 	return string(b)
 }
 
-// TestGenerateMintRunAndCacheNamespace is the tentpole's service
-// acceptance path: a posted spec becomes a catalogue entry runnable on
-// multiple backends, cached under the workgen/v1 namespace whose keys
-// can never collide with a builtin's run/v1 keys.
+// TestGenerateMintRunAndCacheNamespace is the service acceptance path
+// for minting: a posted spec becomes a catalogue entry runnable on
+// multiple backends, under keys that can never collide with a
+// builtin's.
 func TestGenerateMintRunAndCacheNamespace(t *testing.T) {
 	s, ts := newTestServer(t)
 
@@ -105,12 +106,15 @@ func TestGenerateMintRunAndCacheNamespace(t *testing.T) {
 		t.Fatalf("backends shared a cache key: %v", keys)
 	}
 
-	// The namespace split itself: for identical config and workload
-	// fingerprints, the generated key can never equal a builtin key.
-	cfgFP := simcache.Fingerprint(struct{ X int }{1})
-	workID := simcache.Fingerprint(struct{ Y int }{2})
-	if simcache.KeyOf("workgen/v1", cfgFP, workID) == simcache.KeyOf("run/v1", cfgFP, workID) {
-		t.Fatal("workgen/v1 and run/v1 namespaces collide for identical inputs")
+	// Generated and builtin cells share the run/v1 namespace; the
+	// workload identity's category keeps a generated cell's key apart
+	// from a builtin's even were a name reused.
+	gen := s.byWork[spec.Name()].w.Capped(3000)
+	builtin := gen
+	builtin.Category = s.byWork["gzip"].w.Category
+	cfg := model.DefaultAlphaConfig()
+	if sweep.CellKey("run/v1", cfg, gen) == sweep.CellKey("run/v1", cfg, builtin) {
+		t.Fatal("workloads differing only in category share a cell key")
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sample"
 	"repro/internal/simcache"
+	"repro/internal/sweep"
 	"repro/internal/validate"
 	"repro/internal/workgen"
 )
@@ -379,14 +380,20 @@ type RunRequest struct {
 	Limit    uint64 `json:"limit"`
 	// Sample requests interval sampling. The plan defaults to
 	// sample.PlanFor over the effective run length; the explicit
-	// fields below override it knob by knob. On GET any sample_*
-	// parameter implies Sample; a POST body must set it (Client.Run
-	// does whenever a knob is set).
+	// fields below override it knob by knob, and any non-zero knob
+	// implies Sample, on GET and POST alike.
 	Sample          bool   `json:"sample"`
 	SamplePeriod    uint64 `json:"sample_period"`
 	SampleWarmup    uint64 `json:"sample_warmup"`
 	SampleMeasure   uint64 `json:"sample_measure"`
 	SampleIntervals int    `json:"sample_intervals"`
+}
+
+// sampled reports whether the request asks for interval sampling:
+// Sample, or any sample_* knob.
+func (p RunRequest) sampled() bool {
+	return p.Sample || p.SamplePeriod != 0 || p.SampleWarmup != 0 ||
+		p.SampleMeasure != 0 || p.SampleIntervals != 0
 }
 
 // samplePlan resolves the request's sampling schedule against the
@@ -406,22 +413,6 @@ func (p RunRequest) samplePlan(limit uint64) core.SamplePlan {
 		plan.MaxIntervals = p.SampleIntervals
 	}
 	return plan
-}
-
-// checkPlan validates a sampling plan for a cell with the given
-// instruction budget. A plan whose first warmup and measure window
-// does not fit a known budget can measure nothing, so it is rejected
-// before anything is cached or simulated; a zero budget (a run to
-// HALT) is not known until the run ends.
-func checkPlan(p core.SamplePlan, budget uint64) error {
-	if err := p.Check(); err != nil {
-		return err
-	}
-	if budget > 0 && p.Detailed() > budget {
-		return fmt.Errorf("sample plan: warmup+measure (%d) exceeds the %d-instruction budget, so no interval can be measured",
-			p.Detailed(), budget)
-	}
-	return nil
 }
 
 // SampledInfo is the sampling block of a sampled /v1/run response.
@@ -495,7 +486,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				*f.dst = n
-				p.Sample = true
 			}
 		}
 		if v := q.Get("sample_intervals"); v != "" {
@@ -505,7 +495,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			p.SampleIntervals = n
-			p.Sample = true
 		}
 	}
 	name := p.Machine
@@ -516,81 +505,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "machine (or backend) and workload are required")
 		return
 	}
-	spec, err := model.ByName(name)
+	c, code, err := s.cellOf(name, nil, p.Workload, nil, p.Limit)
 	if err != nil {
-		s.fail(w, http.StatusNotFound, "unknown machine: %v", err)
+		s.fail(w, code, "%v", err)
 		return
 	}
-	if p.Sample && !spec.Capabilities().Samplable {
-		s.fail(w, http.StatusBadRequest,
-			"backend %q does not support interval sampling (tier %s)", spec.Name, spec.Tier)
-		return
-	}
-	s.wlMu.RLock()
-	wl, ok := s.byWork[p.Workload]
-	s.wlMu.RUnlock()
-	if !ok {
-		s.fail(w, http.StatusNotFound, "unknown workload %q (see /v1/workloads)", p.Workload)
-		return
-	}
-
-	// The content address: machine config (canonical fingerprint),
-	// workload identity and budget, and the request's own limit. A
-	// sampled run measures a different quantity than a full one, so it
-	// lives under its own key prefix with the plan in the address —
-	// full-run key bytes are untouched by the sampling subsystem.
-	work := wl.w.Capped(p.Limit)
-	workID := simcache.Fingerprint(struct {
-		Name        string
-		FastForward uint64
-		Max         uint64
-		Category    string
-	}{work.Name, work.FastForward, work.MaxInstructions, work.Category})
-	// Generated workloads live under their own workgen/v1 namespace —
-	// builtin run/v1 and sample/v1 key bytes are untouched by minting,
-	// and a generated result can never alias a builtin one even if a
-	// name were reused.
-	var key simcache.Key
-	if p.Sample {
-		plan := p.samplePlan(work.MaxInstructions)
-		if err := checkPlan(plan, work.MaxInstructions); err != nil {
+	if p.sampled() {
+		if err := c.sample(p.samplePlan(c.work.MaxInstructions)); err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		work.Sample = &plan
-		if wl.gen != nil {
-			key = simcache.KeyOf(
-				"workgen/v1", "sample",
-				simcache.Fingerprint(spec.Config),
-				workID,
-				simcache.Fingerprint(plan),
-			)
-		} else {
-			key = simcache.KeyOf(
-				"sample/v1",
-				simcache.Fingerprint(spec.Config),
-				workID,
-				simcache.Fingerprint(plan),
-			)
-		}
-	} else if wl.gen != nil {
-		key = simcache.KeyOf(
-			"workgen/v1",
-			simcache.Fingerprint(spec.Config),
-			workID,
-		)
-	} else {
-		key = simcache.KeyOf(
-			"run/v1",
-			simcache.Fingerprint(spec.Config),
-			workID,
-		)
 	}
 
+	// The rendered body is keyed like the cell, under its own
+	// namespace: it is a /v1/run body, not a cell result.
+	key := sweep.CellKey("run/v1", c.cfg, c.work)
 	s.serveCached(w, r, key, func() ([]byte, error) {
 		// context.Background: like a local computation, a dispatched
 		// cell outlives its request deadline to populate the cache.
-		body, err := s.runCell(context.Background(), spec.Config, work, wl.gen)
+		body, err := s.runCell(context.Background(), c.cfg, c.work, c.gen)
 		if err != nil {
 			return nil, err
 		}
@@ -613,8 +546,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if res.Sampled != nil {
 			est, err := sample.FromResult(res, sample.DefaultLevel)
 			if err != nil {
-				// The plan measured nothing before the workload halted.
-				return nil, clientError{err}
+				return nil, err
 			}
 			n := len(res.Sampled.Samples)
 			s.metrics.Counter("sample_runs_total").Inc()
@@ -633,10 +565,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}, "application/json")
 }
 
-// simulate is the one local cell path: it takes a simulation slot,
-// counts the cell, runs it, records its events and returns the
-// marshaled result.
-func (s *Server) simulate(m core.Machine, work core.Workload) ([]byte, error) {
+// simulate is the one local cell path: it builds the cell's machine,
+// takes a simulation slot, counts the cell, runs it, records its
+// events and returns the marshaled result. A sampled run that
+// measured no interval before the workload halted is the client's
+// error, and nothing is cached.
+func (s *Server) simulate(cfg any, work core.Workload) ([]byte, error) {
+	m, err := model.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
 	s.acquire()
 	defer s.release()
 	s.metrics.Counter("cells_simulated_total").Inc()
@@ -645,6 +583,11 @@ func (s *Server) simulate(m core.Machine, work core.Workload) ([]byte, error) {
 		return nil, err
 	}
 	s.recordSimEvents(res)
+	if res.Sampled != nil {
+		if _, err := sample.FromResult(res, sample.DefaultLevel); err != nil {
+			return nil, clientError{err}
+		}
+	}
 	return json.Marshal(res)
 }
 

@@ -12,6 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/macrobench"
+	"repro/internal/model"
+	"repro/internal/simcache"
 	"repro/internal/validate"
 )
 
@@ -40,6 +43,20 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, resp.Header, body
+}
+
+func post(t *testing.T, url, body string) (int, http.Header, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header, out
 }
 
 func TestHealthz(t *testing.T) {
@@ -209,6 +226,114 @@ func TestRunDistinctKeysAreDistinctCells(t *testing.T) {
 	}
 }
 
+// TestRunKeyIsServeTieredDerivation pins a builtin, unsampled
+// /v1/run's key to the derivation the serve-tiered benchmark checks
+// every warm and hot key against: "run/v1", the registered config's
+// fingerprint, and the capped workload's name, fast-forward, budget
+// and category.
+func TestRunKeyIsServeTieredDerivation(t *testing.T) {
+	_, ts := newTestServer(t)
+	const limit = 3000
+	w, ok := macrobench.ByName("gzip")
+	if !ok {
+		t.Fatal("no gzip macrobenchmark")
+	}
+	max := w.MaxInstructions
+	if max == 0 || max > limit {
+		max = limit
+	}
+	workID := simcache.Fingerprint(struct {
+		Name        string
+		FastForward uint64
+		Max         uint64
+		Category    string
+	}{w.Name, w.FastForward, max, w.Category})
+	for _, machine := range []string{"sim-alpha", "native-ds10l"} {
+		d, err := model.ByName(machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := simcache.KeyOf("run/v1", simcache.Fingerprint(d.Config), workID).String()
+		code, hdr, body := get(t, fmt.Sprintf("%s/v1/run?machine=%s&workload=gzip&limit=%d", ts.URL, machine, limit))
+		if code != http.StatusOK {
+			t.Fatalf("%s: GET /v1/run = %d: %s", machine, code, body)
+		}
+		var rr RunResponse
+		if err := json.Unmarshal(body, &rr); err != nil {
+			t.Fatal(err)
+		}
+		if got := hdr.Get("X-Simcache-Key"); got != want || rr.Key != want {
+			t.Errorf("%s: X-Simcache-Key %s, body key %s, want %s", machine, got, rr.Key, want)
+		}
+	}
+}
+
+// TestRunAndCellResolveAlike sends each bad cell to /v1/run and to
+// /v1/cell. Both routes resolve a cell through cellOf and its sample
+// method, so both answer with the same status and message, and
+// neither simulates anything.
+func TestRunAndCellResolveAlike(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, c := range []struct {
+		name, run, cell string
+		code            int
+	}{
+		{"unknown machine",
+			`{"machine":"sim-nope","workload":"C-Ca"}`,
+			`{"machine":"sim-nope","workload":"C-Ca"}`, http.StatusNotFound},
+		{"unknown workload",
+			`{"machine":"sim-alpha","workload":"nope"}`,
+			`{"machine":"sim-alpha","workload":"nope"}`, http.StatusNotFound},
+		{"sampling on sim-interval",
+			`{"machine":"sim-interval","workload":"C-Ca","limit":2000,"sample":true,"sample_period":1000,"sample_warmup":100,"sample_measure":100}`,
+			`{"machine":"sim-interval","workload":"C-Ca","limit":2000,"sample":{"period":1000,"warmup":100,"measure":100}}`, http.StatusBadRequest},
+		{"plan over budget",
+			`{"machine":"sim-alpha","workload":"C-Ca","limit":100,"sample":true,"sample_period":1000,"sample_warmup":200,"sample_measure":200}`,
+			`{"machine":"sim-alpha","workload":"C-Ca","limit":100,"sample":{"period":1000,"warmup":200,"measure":200}}`, http.StatusBadRequest},
+		{"invalid plan",
+			`{"machine":"sim-alpha","workload":"C-Ca","limit":2000,"sample":true,"sample_period":100,"sample_warmup":200,"sample_measure":100}`,
+			`{"machine":"sim-alpha","workload":"C-Ca","limit":2000,"sample":{"period":100,"warmup":200,"measure":100}}`, http.StatusBadRequest},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			runCode, _, runBody := post(t, ts.URL+"/v1/run", c.run)
+			cellCode, _, cellBody := post(t, ts.URL+"/v1/cell", c.cell)
+			if runCode != c.code || cellCode != c.code {
+				t.Errorf("/v1/run = %d, /v1/cell = %d, want %d", runCode, cellCode, c.code)
+			}
+			if !bytes.Equal(runBody, cellBody) {
+				t.Errorf("/v1/run answered %s/v1/cell answered %s", runBody, cellBody)
+			}
+		})
+	}
+	if n := s.Metrics().Counter("cells_simulated_total").Value(); n != 0 {
+		t.Errorf("rejected cells simulated %d times", n)
+	}
+}
+
+// TestRunPostSampleKnobsImplySampling: a sample_* knob alone asks for
+// a sampled run on POST, as it does on GET, and both are one cell.
+func TestRunPostSampleKnobsImplySampling(t *testing.T) {
+	_, ts := newTestServer(t)
+	code, _, body := post(t, ts.URL+"/v1/run",
+		`{"machine":"sim-alpha","workload":"gzip","limit":15000,"sample_period":5000,"sample_warmup":500,"sample_measure":500}`)
+	if code != http.StatusOK {
+		t.Fatalf("POST /v1/run = %d: %s", code, body)
+	}
+	var rr RunResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Sampled == nil || rr.Instructions != 1500 {
+		t.Fatalf("POST with sample knobs measured %d instructions, sampling block %+v; want 1500 sampled",
+			rr.Instructions, rr.Sampled)
+	}
+	code, hdr, viaGet := get(t, ts.URL+"/v1/run?machine=sim-alpha&workload=gzip&limit=15000&sample_period=5000&sample_warmup=500&sample_measure=500")
+	if code != http.StatusOK || hdr.Get("X-Simcache") != "hit" || !bytes.Equal(viaGet, body) {
+		t.Errorf("GET with the same knobs = %d %s, X-Simcache %q; want the POST's body as a hit",
+			code, viaGet, hdr.Get("X-Simcache"))
+	}
+}
+
 func TestRunPost(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json",
@@ -330,10 +455,10 @@ func TestMetricsTextFormat(t *testing.T) {
 
 // TestRunSampled covers the sampled /v1/run path end to end: the
 // response carries the sampling block with the estimate, the sampled
-// key is distinct from the full-run key (and carries the sample/v1
-// prefix's fingerprint, so the two can never collide in the cache),
-// the sampling metrics appear on /metrics, and a repeat request is a
-// byte-identical cache hit.
+// key is distinct from the full-run key (sweep.CellKey appends the
+// plan to a sampled cell's key, so the two can never collide in the
+// cache), the sampling metrics appear on /metrics, and a repeat
+// request is a byte-identical cache hit.
 func TestRunSampled(t *testing.T) {
 	_, ts := newTestServer(t)
 	base := ts.URL + "/v1/run?machine=sim-alpha&workload=gzip&limit=15000"

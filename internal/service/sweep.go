@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -315,38 +316,49 @@ func (s *Server) planSweep(req SweepRequest) (sweepPlan, int, error) {
 		plan.ref = spec.Config
 	}
 
-	// The point budget. Calibration enumerates per round, so its
-	// budget is the worst case the descent can visit.
+	// The point budget, counted from the axes' value counts before any
+	// point is enumerated, so refusing an oversized space costs nothing.
+	// Calibration enumerates per round, so its budget is the worst case
+	// the descent can visit.
 	maxPts := s.cfg.MaxSweepPoints
+	values := 0 // over all axes; a calibration round visits each once
+	for _, a := range plan.space.Axes {
+		values += len(a.Values)
+	}
+	var strat sweep.Strategy
 	switch req.Analysis {
 	case "calibration":
 		rounds := req.MaxRounds
 		if rounds <= 0 {
 			rounds = 10
 		}
-		perRound := 0
-		for _, a := range plan.space.Axes {
-			perRound += len(a.Values)
+		plan.points = math.MaxInt
+		if rounds <= (math.MaxInt-1)/values {
+			plan.points = 1 + rounds*values
 		}
-		plan.points = 1 + rounds*perRound
 	default:
-		var strat sweep.Strategy
 		switch req.Strategy {
 		case "", "grid":
-			strat = sweep.Grid{}
+			strat, plan.points = sweep.Grid{}, plan.space.Size()
 		case "random":
-			strat = sweep.Random{Seed: req.Seed, N: req.Samples}
-		case "ofat":
-			strat = sweep.OneFactorAtATime{}
+			strat, plan.points = sweep.Random{Seed: req.Seed, N: req.Samples}, min(req.Samples, plan.space.Size())
+		case "ofat": // below, with sensitivity
 		default:
 			return plan, http.StatusBadRequest,
 				fmt.Errorf("unknown strategy %q (want grid, random, or ofat)", req.Strategy)
 		}
-		if req.Analysis == "sensitivity" {
+		if req.Strategy == "ofat" || req.Analysis == "sensitivity" {
 			// Sensitivity is OFAT by construction; the strategy field
 			// is ignored rather than an error so clients can omit it.
-			strat = sweep.OneFactorAtATime{}
+			strat, plan.points = sweep.OneFactorAtATime{}, 1+values-len(plan.space.Axes)
 		}
+	}
+	if plan.points > maxPts {
+		return plan, http.StatusBadRequest,
+			fmt.Errorf("sweep visits up to %d points, server bound is %d (shrink the space, sample with strategy=random, or lower max_rounds)",
+				plan.points, maxPts)
+	}
+	if strat != nil {
 		plan.strategy = strat.Name()
 		pts, err := strat.Enumerate(plan.space)
 		if err != nil {
@@ -354,11 +366,6 @@ func (s *Server) planSweep(req SweepRequest) (sweepPlan, int, error) {
 		}
 		plan.pts = pts
 		plan.points = len(pts)
-	}
-	if plan.points > maxPts {
-		return plan, http.StatusBadRequest,
-			fmt.Errorf("sweep visits up to %d points, server bound is %d (shrink the space, sample with strategy=random, or lower max_rounds)",
-				plan.points, maxPts)
 	}
 
 	// Every point's config must pass its Check now, so an out-of-range

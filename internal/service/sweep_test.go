@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -388,6 +389,59 @@ func TestSweepPointBudget(t *testing.T) {
 	_, code, err = s.planSweep(SweepRequest{Analysis: "calibration", MaxRounds: 2})
 	if code != http.StatusBadRequest || err == nil {
 		t.Fatalf("over-budget calibration = %d, %v", code, err)
+	}
+}
+
+// TestSweepPointBudgetBeforeEnumerating: the budget is counted from
+// the axes' value counts before any point exists, so a 4,000,000-point
+// grid is refused without allocating its points, and a calibration
+// whose worst case overflows an int is refused instead of wrapping to
+// a small count.
+func TestSweepPointBudgetBeforeEnumerating(t *testing.T) {
+	h := New(Config{Parallelism: 1}).Handler()
+	vals := make([]any, 2000)
+	for i := range vals {
+		vals[i] = i + 1
+	}
+	grid, err := json.Marshal(SweepRequest{
+		Axes: []SweepAxis{
+			{Name: "rob", Field: "ROB", Values: vals},
+			{Name: "issue", Field: "IntIssueWidth", Values: vals},
+		},
+		Workloads: []string{"C-Ca"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calibration := []byte(`{"analysis":"calibration","max_rounds":4611686018427387904,` +
+		`"axes":[{"name":"rob","field":"ROB","values":[80,40,20,10]}],"workloads":["C-Ca"]}`)
+	// submit answers one POST in process and reports the bytes it
+	// allocated, the least of three tries, so a stray background
+	// allocation cannot fail the bound.
+	submit := func(body []byte) (code int, alloc uint64) {
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body))
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; try == 0 || n < alloc {
+				alloc = n
+			}
+			code = rec.Code
+		}
+		return code, alloc
+	}
+	code, alloc := submit(grid)
+	if code != http.StatusBadRequest {
+		t.Errorf("2,000 x 2,000 grid = %d, want 400", code)
+	}
+	if alloc > 8<<20 {
+		t.Errorf("refusing the 2,000 x 2,000 grid allocated %d bytes, want under 8 MiB", alloc)
+	}
+	if code, _ := submit(calibration); code != http.StatusBadRequest {
+		t.Errorf("calibration with 2^62 rounds = %d, want 400", code)
 	}
 }
 

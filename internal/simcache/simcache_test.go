@@ -343,12 +343,11 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSampledKeysDistinctFromFull pins the addressing rule the
-// sampling subsystem relies on: a sampled cell lives under the
-// "sample/v1" prefix with its plan in the address, so it can never
-// collide with the full-run cell for the same (machine × workload) —
-// and the version prefixes themselves ("run/v1", "sample/v1",
-// "sweep/v1") are pairwise distinct key namespaces.
+// TestSampledKeysDistinctFromFull pins the KeyOf properties sampled
+// keys rely on: a key whose parts carry a sampling plan never collides
+// with the full-run key for the same (machine × workload), distinct
+// plans give distinct keys, and distinct version prefixes are distinct
+// key namespaces.
 func TestSampledKeysDistinctFromFull(t *testing.T) {
 	machine := Fingerprint(model.DefaultAlphaConfig())
 	work := Fingerprint(struct {

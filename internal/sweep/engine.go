@@ -72,14 +72,17 @@ func (s Stats) HitRate() float64 {
 	return float64(s.CacheHits) / float64(s.Cells)
 }
 
-// CellKey content-addresses one sweep cell: the canonical fingerprint
-// of the machine configuration plus the workload's identity and
-// budget. Mutated configs that differ in any exported field get
-// distinct keys (see simcache.Fingerprint for exactly what the
-// canonical rendering skips).
-func CellKey(cfg any, w core.Workload) simcache.Key {
+// CellKey content-addresses one cell in namespace ns: the canonical
+// fingerprint of the machine configuration plus the workload's
+// identity and budget, and for a sampled cell its plan. It is the one
+// key function for cells: "sweep/v1" keys cell results, as the engine
+// and /v1/cell store them, and "run/v1" keys rendered /v1/run bodies.
+// Mutated configs that differ in any exported field get distinct keys
+// (see simcache.Fingerprint for exactly what the canonical rendering
+// skips).
+func CellKey(ns string, cfg any, w core.Workload) simcache.Key {
 	parts := []string{
-		"sweep/v1",
+		ns,
 		simcache.Fingerprint(cfg),
 		simcache.Fingerprint(struct {
 			Name        string
@@ -183,7 +186,7 @@ func (e *Engine) RunConfigs(ctx context.Context, cfgs []any) ([][]core.RunResult
 			body, err = compute()
 		} else {
 			var cached bool
-			body, cached, err = e.Cache.GetOrCompute(CellKey(cfg, w), compute)
+			body, cached, err = e.Cache.GetOrCompute(CellKey("sweep/v1", cfg, w), compute)
 			if cached {
 				hits.Add(1)
 			}

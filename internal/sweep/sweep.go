@@ -6,8 +6,9 @@
 //
 //   - a Space is a base machine configuration plus a set of typed
 //     Axes (issue width, ROB size, cache geometry, DRAM page policy,
-//     predictor tables, modeling-bug switches, ...), each applied to
-//     the base config through a reflection-safe field setter that is
+//     predictor tables, modeling-bug switches, ...), each a field path
+//     whose values are decoded over the base config by Override, the
+//     strict JSON decoder that also reads a /v1/cell config, and
 //     validated before anything runs;
 //   - a Strategy enumerates Points of the space deterministically:
 //     Grid (full cross product), Random (seeded sampling), and
@@ -24,6 +25,8 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -114,32 +117,28 @@ func (s *Space) Size() int {
 }
 
 // Check validates the space: the base must be a struct, axis names
-// must be unique, every axis field path must resolve to an exported,
-// settable field of the base config, and every axis value must be
-// assignable (or losslessly convertible) to its field. Axes over
+// must be unique, every axis field path must name an exported field
+// of the base config, by exact name, and every axis value must decode
+// into that field's type by encoding/json's rules, so a fraction for
+// an integer field, a negative value for an unsigned one, or a value
+// that overflows its field is an error. Axes over
 // fingerprint-opaque kinds (funcs, channels) are rejected outright:
 // internal/simcache.Fingerprint renders those by type only, so two
 // different values would alias to the same cache key and a sweep
-// would silently serve one point's results for another.
+// would silently serve one point's results for another. So is a nil
+// value: a JSON null leaves its field alone, so every point would
+// alias the base.
 func (s *Space) Check() error {
 	if s.Base == nil {
 		return fmt.Errorf("sweep: space has no base config")
 	}
-	bv := reflect.ValueOf(s.Base)
-	for bv.Kind() == reflect.Pointer {
-		if bv.IsNil() {
-			return fmt.Errorf("sweep: base config is a nil pointer")
-		}
-		bv = bv.Elem()
-	}
-	if bv.Kind() != reflect.Struct {
+	bt := reflect.TypeOf(s.Base)
+	if bt.Kind() != reflect.Struct {
 		return fmt.Errorf("sweep: base config must be a struct, got %T", s.Base)
 	}
 	if len(s.Axes) == 0 {
 		return fmt.Errorf("sweep: space has no axes")
 	}
-	scratch := reflect.New(bv.Type()).Elem()
-	scratch.Set(bv)
 	seen := make(map[string]bool, len(s.Axes))
 	for i, a := range s.Axes {
 		if a.Name == "" {
@@ -152,18 +151,33 @@ func (s *Space) Check() error {
 		if len(a.Values) == 0 {
 			return fmt.Errorf("sweep: axis %q has no values", a.Name)
 		}
-		f, err := fieldByPath(scratch, a.Field)
+		ft, err := fieldType(bt, a.Field)
 		if err != nil {
 			return fmt.Errorf("sweep: axis %q: %w", a.Name, err)
 		}
-		switch f.Kind() {
+		switch ft.Kind() {
 		case reflect.Func, reflect.Chan, reflect.UnsafePointer:
 			return fmt.Errorf("sweep: axis %q: field %q has fingerprint-opaque kind %s; sweeping it would alias distinct points to one cache key",
-				a.Name, a.Field, f.Kind())
+				a.Name, a.Field, ft.Kind())
 		}
+		// The values decode as one JSON array, element by element, so
+		// an error names its value. Each decodes through a pointer,
+		// which a JSON null leaves nil.
+		raw, err := json.Marshal(a.Values)
+		if err != nil {
+			return fmt.Errorf("sweep: axis %q: %w", a.Name, err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		dec.Token() // the array's opening bracket
 		for vi, val := range a.Values {
-			if err := assign(f, val); err != nil {
-				return fmt.Errorf("sweep: axis %q value %d: %w", a.Name, vi, err)
+			v := reflect.New(reflect.PointerTo(ft))
+			if err := dec.Decode(v.Interface()); err != nil {
+				return fmt.Errorf("sweep: axis %q value %d: cannot assign %T to field of type %s: %w",
+					a.Name, vi, val, ft, err)
+			}
+			if v.Elem().IsNil() {
+				return fmt.Errorf("sweep: axis %q value %d: nil is not a valid axis value", a.Name, vi)
 			}
 		}
 	}
@@ -171,34 +185,68 @@ func (s *Space) Check() error {
 }
 
 // Config returns the base configuration with the point's value
-// applied on every axis. The result is a fresh value of the base's
-// type; the base itself is never mutated.
+// applied on every axis: one JSON overlay built from the axes' field
+// paths, decoded over the base by Override. The result is a fresh
+// value of the base's type; the base itself is never mutated.
 func (s *Space) Config(p Point) (any, error) {
 	if len(p) != len(s.Axes) {
 		return nil, fmt.Errorf("sweep: point has %d coordinates, space has %d axes", len(p), len(s.Axes))
 	}
-	bv := reflect.ValueOf(s.Base)
-	for bv.Kind() == reflect.Pointer {
-		if bv.IsNil() {
-			return nil, fmt.Errorf("sweep: base config is a nil pointer")
-		}
-		bv = bv.Elem()
-	}
-	cfg := reflect.New(bv.Type()).Elem()
-	cfg.Set(bv)
+	// The overlay's own objects have their own type, so a path never
+	// descends into an axis value that happens to be a JSON object.
+	type object map[string]any
+	overlay := object{}
 	for i, a := range s.Axes {
 		if p[i] < 0 || p[i] >= len(a.Values) {
 			return nil, fmt.Errorf("sweep: axis %q index %d out of range [0,%d)", a.Name, p[i], len(a.Values))
 		}
-		f, err := fieldByPath(cfg, a.Field)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: axis %q: %w", a.Name, err)
+		obj := overlay
+		parts := strings.Split(a.Field, ".")
+		for _, part := range parts[:len(parts)-1] {
+			next, ok := obj[part].(object)
+			if !ok {
+				next = object{}
+				obj[part] = next
+			}
+			obj = next
 		}
-		if err := assign(f, a.Values[p[i]]); err != nil {
-			return nil, fmt.Errorf("sweep: axis %q: %w", a.Name, err)
-		}
+		obj[parts[len(parts)-1]] = a.Values[p[i]]
 	}
-	return cfg.Interface(), nil
+	raw, err := json.Marshal(overlay)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
+	cfg, err := Override(s.Base, raw)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: point %s: %w", s.Label(p), err)
+	}
+	return cfg, nil
+}
+
+// Override returns base, a config struct, with raw decoded over a copy
+// of it: raw is a JSON object whose omitted fields keep base's values,
+// so {"ROB":20} over sim-alpha's config is its ROB-20 point, and an
+// empty raw is base itself.
+// Decoding is strict: an unknown or unexported field, or a value its
+// field cannot hold without loss, is an error.
+func Override(base any, raw json.RawMessage) (any, error) {
+	// A pointer base would be decoded through, overwriting what it
+	// points to.
+	bt := reflect.TypeOf(base)
+	if bt == nil || bt.Kind() != reflect.Struct {
+		return nil, fmt.Errorf("config: base must be a struct, got %T", base)
+	}
+	if len(raw) == 0 {
+		return base, nil
+	}
+	cfg := reflect.New(bt)
+	cfg.Elem().Set(reflect.ValueOf(base))
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(cfg.Interface()); err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
+	return cfg.Elem().Interface(), nil
 }
 
 // Label renders a point as "axis=value" pairs in axis order.
@@ -227,88 +275,23 @@ func (s *Space) ValueLabel(axis, vi int) string {
 	return fmt.Sprint(a.Values[vi])
 }
 
-// fieldByPath walks a dot-separated path of exported struct fields,
-// dereferencing pointers along the way, and returns the addressable
-// destination field.
-func fieldByPath(v reflect.Value, path string) (reflect.Value, error) {
-	if path == "" {
-		return reflect.Value{}, fmt.Errorf("empty field path")
-	}
+// fieldType resolves a dot-separated path of exported struct
+// fields, matched by exact name, to the named field's type.
+func fieldType(t reflect.Type, path string) (reflect.Type, error) {
 	for _, part := range strings.Split(path, ".") {
-		for v.Kind() == reflect.Pointer {
-			if v.IsNil() {
-				return reflect.Value{}, fmt.Errorf("field path %q crosses a nil pointer at %q", path, part)
-			}
-			v = v.Elem()
+		if t.Kind() != reflect.Struct {
+			return nil, fmt.Errorf("field path %q: %q is not reachable through a struct", path, part)
 		}
-		if v.Kind() != reflect.Struct {
-			return reflect.Value{}, fmt.Errorf("field path %q: %q is not reachable through a struct", path, part)
+		f, ok := t.FieldByName(part)
+		if !ok {
+			return nil, fmt.Errorf("field path %q: no field %q in %s", path, part, t)
 		}
-		f := v.FieldByName(part)
-		if !f.IsValid() {
-			return reflect.Value{}, fmt.Errorf("field path %q: no field %q in %s", path, part, v.Type())
+		if !f.IsExported() {
+			return nil, fmt.Errorf("field path %q resolves to an unexported field", path)
 		}
-		v = f
+		t = f.Type
 	}
-	if !v.CanSet() {
-		return reflect.Value{}, fmt.Errorf("field path %q resolves to an unsettable (unexported?) field", path)
-	}
-	return v, nil
-}
-
-// assign sets dst to val, allowing lossless numeric conversions (a
-// JSON-decoded float64 may target an int field). Lossy assignments —
-// truncation, overflow, sign flips — are errors, never silent.
-func assign(dst reflect.Value, val any) error {
-	if val == nil {
-		return fmt.Errorf("nil is not a valid axis value")
-	}
-	rv := reflect.ValueOf(val)
-	if rv.Type().AssignableTo(dst.Type()) {
-		dst.Set(rv)
-		return nil
-	}
-	if !rv.Type().ConvertibleTo(dst.Type()) {
-		return fmt.Errorf("cannot assign %T to field of type %s", val, dst.Type())
-	}
-	if !isNumeric(rv.Kind()) || !isNumeric(dst.Kind()) {
-		return fmt.Errorf("cannot assign %T to field of type %s", val, dst.Type())
-	}
-	// Same-width int<->uint conversions wrap and round-trip cleanly,
-	// so sign violations need explicit checks.
-	if isSigned(rv.Kind()) && isUnsigned(dst.Kind()) && rv.Int() < 0 {
-		return fmt.Errorf("negative value %v cannot fill unsigned field type %s", val, dst.Type())
-	}
-	if isUnsigned(rv.Kind()) && isSigned(dst.Kind()) && rv.Uint() > math.MaxInt64 {
-		return fmt.Errorf("value %v overflows signed field type %s", val, dst.Type())
-	}
-	conv := rv.Convert(dst.Type())
-	// Lossless iff converting back reproduces the original exactly;
-	// catches truncation (48.5 -> int) and width overflow.
-	back := conv.Convert(rv.Type())
-	if !back.Equal(rv) {
-		return fmt.Errorf("value %v does not fit field type %s without loss", val, dst.Type())
-	}
-	dst.Set(conv)
-	return nil
-}
-
-func isSigned(k reflect.Kind) bool {
-	return k >= reflect.Int && k <= reflect.Int64
-}
-
-func isUnsigned(k reflect.Kind) bool {
-	return k >= reflect.Uint && k <= reflect.Uintptr
-}
-
-func isNumeric(k reflect.Kind) bool {
-	switch k {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64:
-		return true
-	}
-	return false
+	return t, nil
 }
 
 // Strategy enumerates the points of a space to explore, in a

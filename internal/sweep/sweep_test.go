@@ -138,6 +138,47 @@ func TestAssignLosslessConversions(t *testing.T) {
 	}
 }
 
+// TestSpaceCheckMatchesOverride: Check resolves a path by exact field
+// name and decodes each value as Override will, so what Check accepts
+// Config can apply, and what Override would ignore Check refuses.
+func TestSpaceCheckMatchesOverride(t *testing.T) {
+	type knobs struct {
+		ROB    int
+		hidden int
+	}
+	for name, a := range map[string]Axis{
+		"nil value":        {Name: "x", Field: "ROB", Values: []any{80, nil}},
+		"case-folded path": Ints("x", "rob", 80),
+		"unexported field": Ints("x", "hidden", 1),
+		"path through int": Ints("x", "ROB.Depth", 1),
+	} {
+		if err := (&Space{Base: knobs{hidden: 1}, Axes: []Axis{a}}).Check(); err == nil {
+			t.Errorf("%s: Check accepted %+v", name, a)
+		}
+	}
+	if err := (&Space{Base: &knobs{}, Axes: []Axis{Ints("x", "ROB", 1)}}).Check(); err == nil {
+		t.Error("Check accepted a pointer base, which Override would decode through")
+	}
+
+	// An axis over a whole struct field may take a JSON object; a
+	// second axis inside that field leaves the first axis's value as
+	// it was.
+	dram := map[string]any{"CASCycles": 9}
+	s := &Space{Base: model.DefaultAlphaConfig(), Axes: []Axis{
+		{Name: "dram", Field: "DRAM", Values: []any{dram}},
+		Bools("openpage", "DRAM.OpenPage", false),
+	}}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Config(s.Origin()); err != nil {
+		t.Fatal(err)
+	}
+	if len(dram) != 1 {
+		t.Errorf("Config wrote into an axis value: %v", dram)
+	}
+}
+
 func TestGridEnumeration(t *testing.T) {
 	s := tuningSpace()
 	pts, err := Grid{}.Enumerate(s)

@@ -11,8 +11,9 @@ import (
 )
 
 // quick caps run lengths so the whole experiment suite stays fast in
-// tests; the paper's qualitative relationships are stable well below
-// full length.
+// tests. It is the goldens' short operating point, whose numbers
+// differ in size and even sign from results_full.txt's (see goldenOpt
+// in golden_test.go).
 var quick = Options{Limit: 15_000}
 
 func TestTable2Shape(t *testing.T) {
@@ -194,7 +195,7 @@ func TestMappingConfigsKeyDistinctly(t *testing.T) {
 	w := macrobench.Suite()[0]
 	seen := make(map[simcache.Key]int)
 	for i, cfg := range mappingConfigs() {
-		k := sweep.CellKey(cfg, w)
+		k := sweep.CellKey("sweep/v1", cfg, w)
 		if j, dup := seen[k]; dup {
 			t.Errorf("mapping configs %d and %d share cell key %s", j, i, k)
 		}
