@@ -298,7 +298,9 @@ func (s *sim) alloc(rec *cpu.Record) *entry {
 		e.slotUpper = (rec.PC>>2)&1 == 1
 	}
 
-	// Source dependences: resolve against the latest writers.
+	// Source dependences: resolve against the latest writers, and
+	// link each operand whose producer has not issued into that
+	// producer's wakeup chain.
 	var srcs [3]isa.RegRef
 	for _, src := range srcs[:rec.Inst.SourcesInto(&srcs)] {
 		file := 0
@@ -306,6 +308,14 @@ func (s *sim) alloc(rec *cpu.Record) *entry {
 			file = 1
 		}
 		if w := s.lastWriter[file][src.Reg]; w != 0 && s.inFlight(w) {
+			if p := s.at(w); !p.issued {
+				u := int32(3*idx + e.nsrc)
+				s.uses[u] = p.firstUse
+				p.firstUse = u + 1
+				e.waiting++
+			} else {
+				e.operandsAt = max(e.operandsAt, p.readyAt)
+			}
 			e.srcs[e.nsrc] = w
 			e.nsrc++
 		}

@@ -2,6 +2,7 @@ package alpha
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
@@ -65,19 +66,29 @@ type entry struct {
 	dest    isa.RegRef
 	srcs    [3]uint64 // producer inums (0 = none/ready)
 	nsrc    int
+	// waiting counts e's operands whose in-flight producer has not
+	// issued (linked at fetch); e is on the ready list while it is
+	// mapped, unissued and waiting is 0. firstUse heads the chain of
+	// operand edges waiting on e itself (an index into sim.uses plus
+	// one; 0 = none).
+	waiting  uint8
+	firstUse int32
+	// operandsAt is the latest readyAt among e's in-flight producers,
+	// known once they have all issued: no operand can reach e before
+	// it, whatever the cluster (srcsReadyAt only adds to it).
+	operandsAt uint64
 
 	availAt uint64 // fetch delivery cycle (eligible to map)
 	mapped  bool
 	mapAt   uint64
 	dropped bool // unop removed at map (eret)
 
-	issued     bool
-	minIssueAt uint64
-	issueAt    uint64
-	readyAt    uint64 // result visible to consumers (same cluster)
-	doneAt     uint64 // resolution/completion
-	cluster    int8
-	slotUpper  bool
+	issued    bool
+	issueAt   uint64
+	readyAt   uint64 // result visible to consumers (same cluster)
+	doneAt    uint64 // resolution/completion
+	cluster   int8
+	slotUpper bool
 
 	resolved   bool
 	queueFreed bool
@@ -128,30 +139,36 @@ type sim struct {
 	nextInum uint64
 	headInum uint64 // inum of ROB head (retired boundary)
 
-	// Scan accelerators. Entries map and issue in program order, so
-	// the pipeline tracks the boundaries instead of rescanning for
-	// them every cycle:
+	// Event scheduling. Per-cycle work follows events, not window
+	// occupancy:
 	//
-	//   mapInum    — inum of the oldest unmapped entry (everything
-	//                older is mapped); the map stage is O(width).
-	//   issueBase  — every entry older than this has issued (or was
-	//                dropped), so the issue scan starts here.
-	//   wakeAt     — earliest cycle at which any in-flight entry can
-	//                complete or free its queue slot; the resolution
-	//                scan is skipped entirely until then.
-	mapInum   uint64
-	issueBase uint64
-	wakeAt    uint64
+	//   mapInum — inum of the oldest unmapped entry (everything older
+	//             is mapped); the map stage is O(width).
+	//   ready   — one bit per ROB slot, set for issue-queue occupants
+	//             whose in-flight producers have all issued. Walked
+	//             from the head it is the age-ordered ready list, the
+	//             only entries the issue stage visits.
+	//   uses    — operand edges, three per ROB slot: uses[3*slot+k]
+	//             links operand k of that slot's entry to the next
+	//             edge waiting on the same producer. A producer's
+	//             issue walks its chain and wakes each consumer.
+	//   done    — the completion queue: a min-heap of issued,
+	//             unresolved entries by (resolution cycle, inum).
+	//   frees   — issued inums in issue order from freeHead on. A
+	//             queue slot frees QueueFreeLag cycles after issue, so
+	//             frees fall due in this order.
+	mapInum  uint64
+	ready    []uint64
+	uses     []int32
+	done     []completion
+	frees    []uint64
+	freeHead int
 
 	// issueIdleUntil gates the issue scan: a scan that issued nothing
 	// records the earliest cycle anything could become eligible, and
 	// the stage sleeps until then. Mapping or retiring anything resets
 	// the gate (both can change operand readiness).
 	issueIdleUntil uint64
-	// outstanding counts issued, non-dropped entries still owing a
-	// resolution or a queue-slot release; the resolution scan stops
-	// once it has seen that many.
-	outstanding int
 
 	// specBuf is resolve's reusable in-flight-branch outcome buffer.
 	specBuf []bool
@@ -204,28 +221,27 @@ func newSim(cfg Config, tracer PipeTracer) *sim {
 	}
 	hier := cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), ddr.NewOrFlat(cfg.DDR, cfg.DRAM))
 	return &sim{
-		cfg:       cfg,
-		tracer:    tracer,
-		hier:      hier,
-		tour:      predict.NewTournament(cfg.Tour),
-		line:      predict.NewLine(cfg.Hier.L1I.SizeBytes / 16),
-		way:       predict.NewWay(cfg.Hier.L1I.Sets()),
-		ras:       predict.NewRAS(cfg.RASEntries),
-		luse:      predict.NewLoadUse(),
-		stwt:      predict.NewStoreWait(),
-		rob:       make([]entry, cfg.ROB),
-		nextInum:  1,
-		headInum:  1,
-		mapInum:   1,
-		issueBase: 1,
-		wakeAt:    ^uint64(0),
-		warmLine:  1 << 63,
-		pktStart:  1 << 63,
+		cfg:      cfg,
+		tracer:   tracer,
+		hier:     hier,
+		tour:     predict.NewTournament(cfg.Tour),
+		line:     predict.NewLine(cfg.Hier.L1I.SizeBytes / 16),
+		way:      predict.NewWay(cfg.Hier.L1I.Sets()),
+		ras:      predict.NewRAS(cfg.RASEntries),
+		luse:     predict.NewLoadUse(),
+		stwt:     predict.NewStoreWait(),
+		rob:      make([]entry, cfg.ROB),
+		ready:    make([]uint64, (cfg.ROB+63)/64),
+		uses:     make([]int32, 3*cfg.ROB),
+		done:     make([]completion, 0, cfg.ROB),
+		frees:    make([]uint64, 0, cfg.ROB),
+		nextInum: 1,
+		headInum: 1,
+		mapInum:  1,
+		warmLine: 1 << 63,
+		pktStart: 1 << 63,
 	}
 }
-
-// noWake is wakeAt's idle value: no completion or queue-free pending.
-const noWake = ^uint64(0)
 
 // idx maps an offset from the ROB head to a slot index. Offsets are
 // always < len(rob), so a conditional subtract replaces the modulo
@@ -238,11 +254,92 @@ func (s *sim) idx(off int) int {
 	return off
 }
 
-// schedule lowers the wake time to t if it is earlier.
-func (s *sim) schedule(t uint64) {
-	if t < s.wakeAt {
-		s.wakeAt = t
+// slot returns the ROB slot index of in-flight inum.
+func (s *sim) slot(inum uint64) int { return s.idx(int(inum - s.headInum)) }
+
+// nextReady returns the slot of the oldest ready-list entry younger
+// than the one in slot (-1: the oldest of all), or -1 if there is
+// none. Slots run in age order from the head's to the end of the ROB,
+// then wrap to 0.
+func (s *sim) nextReady(slot int) int {
+	lo := slot + 1
+	if slot < 0 {
+		lo = s.head
 	}
+	if slot < 0 || slot >= s.head {
+		if j := nextBit(s.ready, lo, len(s.rob)); j >= 0 {
+			return j
+		}
+		lo = 0
+	}
+	return nextBit(s.ready, lo, s.head)
+}
+
+// nextBit returns the index of the first set bit of b in [lo, hi), or
+// -1 if there is none.
+func nextBit(b []uint64, lo, hi int) int {
+	for lo < hi {
+		if w := b[lo>>6] >> (lo & 63); w != 0 {
+			if i := lo + bits.TrailingZeros64(w); i < hi {
+				return i
+			}
+			return -1
+		}
+		lo = (lo | 63) + 1
+	}
+	return -1
+}
+
+func setBit(b []uint64, i int)   { b[i>>6] |= 1 << (i & 63) }
+func clearBit(b []uint64, i int) { b[i>>6] &^= 1 << (i & 63) }
+
+// completion is a completion-queue key. at is the cycle an issued
+// entry resolves: its doneAt, or the cycle after issue if that is
+// later (the resolution stage runs before issue). Entries due in one
+// cycle resolve in age order.
+type completion struct{ at, inum uint64 }
+
+func (a completion) before(b completion) bool {
+	return a.at < b.at || a.at == b.at && a.inum < b.inum
+}
+
+// pushDone adds c to the completion heap.
+func (s *sim) pushDone(c completion) {
+	s.done = append(s.done, c)
+	h := s.done
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// popDone removes and returns the completion heap's minimum.
+func (s *sim) popDone() completion {
+	h := s.done
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < last && h[l].before(h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < last && h[r].before(h[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	s.done = h
+	return top
 }
 
 // Hier implements core.Kernel.
@@ -394,9 +491,6 @@ func (s *sim) freeQueueSlot(e *entry) {
 		return
 	}
 	e.queueFreed = true
-	if e.resolved {
-		s.outstanding--
-	}
 	if !intSide(e.cls) {
 		s.fpQ--
 	} else if e.cls != isa.ClassNop && e.cls != isa.ClassHalt || s.unopsThroughIssue() {
@@ -407,46 +501,23 @@ func (s *sim) freeQueueSlot(e *entry) {
 // resolveAndRetire processes completions (training predictors,
 // waking the front end, detecting traps) and retires from the head.
 func (s *sim) resolveAndRetire() {
-	// Resolution pass over in-flight instructions. Completion and
-	// queue-free times are fixed at issue, so the scan is skipped
-	// outright until the earliest of them (wakeAt) arrives; when it
-	// runs, it rebuilds wakeAt from whatever is still outstanding.
-	// Entries at mapInum and beyond are unmapped, hence unissued,
-	// so the scan stops at the mapped prefix.
-	if s.cycle >= s.wakeAt {
-		next := uint64(noWake)
-		lag := uint64(s.cfg.QueueFreeLag)
-		end := int(s.mapInum - s.headInum)
-		if end > s.count {
-			end = s.count
+	// Queue-slot frees fall due in issue order. An entry that retired
+	// first freed its slot at retirement.
+	lag := uint64(s.cfg.QueueFreeLag)
+	for ; s.freeHead < len(s.frees); s.freeHead++ {
+		if inum := s.frees[s.freeHead]; inum >= s.headInum {
+			e := s.at(inum)
+			if e.issueAt+lag > s.cycle {
+				break
+			}
+			s.freeQueueSlot(e)
 		}
-		rem := s.outstanding
-		ix := s.head
-		for i := 0; i < end && rem > 0; i++ {
-			e := &s.rob[ix]
-			if ix++; ix == len(s.rob) {
-				ix = 0
-			}
-			if !e.issued || e.dropped || (e.resolved && e.queueFreed) {
-				continue
-			}
-			rem--
-			if !e.queueFreed {
-				if t := e.issueAt + lag; s.cycle >= t {
-					s.freeQueueSlot(e)
-				} else if t < next {
-					next = t
-				}
-			}
-			if !e.resolved {
-				if s.cycle >= e.doneAt {
-					s.resolve(e)
-				} else if e.doneAt < next {
-					next = e.doneAt
-				}
-			}
-		}
-		s.wakeAt = next
+	}
+	// Completions fixed at issue fall due here, in age order within a
+	// cycle: fetch restarts, line training, history repair and store
+	// trap checks all depend on that order.
+	for len(s.done) > 0 && s.done[0].at <= s.cycle {
+		s.resolve(s.at(s.popDone().inum))
 	}
 	// In-order retire.
 	n := 0
@@ -469,7 +540,7 @@ func (s *sim) resolveAndRetire() {
 				s.intInFlight--
 			}
 		}
-		s.head = (s.head + 1) % len(s.rob)
+		s.head = s.idx(1)
 		s.count--
 		s.headInum++
 		s.retired++
@@ -489,9 +560,6 @@ func (s *sim) resolveAndRetire() {
 // resolution handles the timing consequences (fetch restart, traps).
 func (s *sim) resolve(e *entry) {
 	e.resolved = true
-	if e.queueFreed {
-		s.outstanding--
-	}
 	if e.rasOp {
 		s.inflightRASOps--
 	}
@@ -561,9 +629,9 @@ func (s *sim) storeTrapScan(st *entry) {
 }
 
 // srcsReadyAt returns the earliest cycle all of e's operands are
-// available on the given cluster, or ok=false if a producer has not
-// issued yet.
-func (s *sim) srcsReadyAt(e *entry, cluster int8) (uint64, bool) {
+// available on the given cluster. e is on the ready list, so every
+// in-flight producer has issued.
+func (s *sim) srcsReadyAt(e *entry, cluster int8) uint64 {
 	var latest uint64
 	for i := 0; i < e.nsrc; i++ {
 		p := e.srcs[i]
@@ -574,9 +642,6 @@ func (s *sim) srcsReadyAt(e *entry, cluster int8) (uint64, bool) {
 		var prodCluster int8 = -1
 		if s.inFlight(p) {
 			pe := s.at(p)
-			if !pe.issued {
-				return 0, false
-			}
 			t = pe.readyAt
 			prodCluster = pe.cluster
 		} else if e.inum-p < uint64(len(s.readyByInum)) {
@@ -604,7 +669,7 @@ func (s *sim) srcsReadyAt(e *entry, cluster int8) (uint64, bool) {
 			latest = t
 		}
 	}
-	return latest, true
+	return latest
 }
 
 // execLatency returns the Table 1 execution latency for a class.
@@ -677,26 +742,14 @@ func intSide(cls isa.Class) bool {
 	return !cls.IsFP() || cls == isa.ClassFPLoad || cls == isa.ClassFPStore
 }
 
-// issue selects and starts instructions, oldest first. The scan is
-// bounded below by the issued prefix (everything older than issueBase
-// has issued) and above by the mapped prefix (everything at mapInum
-// and beyond cannot issue yet).
+// issue selects and starts instructions, oldest first, from the
+// ready list: queue occupants whose in-flight producers have all
+// issued. A producer's issue wakes its consumers into the list at
+// their age positions, so a consumer woken mid-scan is still visited
+// later in the same scan. Entries map after this stage runs, so a
+// queue entry is first eligible the cycle after it is written.
 func (s *sim) issue() {
 	if s.cycle < s.issueBlockedUntil || s.cycle < s.issueIdleUntil {
-		return
-	}
-	if s.issueBase < s.headInum {
-		s.issueBase = s.headInum
-	}
-	for s.issueBase < s.headInum+uint64(s.count) && s.at(s.issueBase).issued {
-		s.issueBase++
-	}
-	start := int(s.issueBase - s.headInum)
-	end := int(s.mapInum - s.headInum)
-	if end > s.count {
-		end = s.count
-	}
-	if start >= end {
 		return
 	}
 
@@ -708,32 +761,25 @@ func (s *sim) issue() {
 
 	// If the whole scan issues nothing, the queue state is frozen until
 	// a known future cycle (collected in idleUntil), a map, or a
-	// retirement — so the stage can sleep until then. Skips whose wake
-	// time is unknowable here, and any cycle that consulted the
-	// (stateful, periodically-clearing) store-wait table, pin the scan
-	// awake instead.
+	// retirement — so the stage can sleep until then. (Entries off the
+	// ready list wait on a producer's issue, which an idle scan never
+	// makes.) Skips whose wake time is unknowable here, and any cycle
+	// that consulted the (stateful, periodically-clearing) store-wait
+	// table, pin the scan awake instead.
 	issuedAny := false
 	noSkip := false
-	idleUntil := uint64(noWake)
+	idleUntil := ^uint64(0)
 	deferUntil := func(t uint64) {
 		if t < idleUntil {
 			idleUntil = t
 		}
 	}
 
-	ix := s.idx(start)
-	for i := start; i < end && (intLeft > 0 || fpLeft > 0); i++ {
-		e := &s.rob[ix]
-		if ix++; ix == len(s.rob) {
-			ix = 0
-		}
-		if !e.mapped || e.issued || e.dropped {
-			continue
-		}
-		if s.cycle <= e.mapAt || s.cycle < e.minIssueAt {
-			// One-cycle queue write before issue eligibility.
-			deferUntil(e.mapAt + 1)
-			deferUntil(e.minIssueAt)
+	for slot := s.nextReady(-1); slot >= 0 && (intLeft > 0 || fpLeft > 0); slot = s.nextReady(slot) {
+		e := &s.rob[slot]
+		if e.operandsAt > s.cycle {
+			// No operand has arrived yet on any cluster.
+			deferUntil(e.operandsAt)
 			continue
 		}
 		if e.cls == isa.ClassNop || e.cls == isa.ClassHalt {
@@ -764,10 +810,8 @@ func (s *sim) issue() {
 				noSkip = true
 				continue
 			}
-			if ready, ok := s.srcsReadyAt(e, -1); !ok || ready > s.cycle {
-				if ok {
-					deferUntil(ready) // unissued producers gate via their own entries
-				}
+			if ready := s.srcsReadyAt(e, -1); ready > s.cycle {
+				deferUntil(ready)
 				continue
 			}
 			lat := s.execLatency(e.cls)
@@ -815,10 +859,8 @@ func (s *sim) issue() {
 			noSkip = true
 			continue
 		}
-		if ready, rok := s.srcsReadyAt(e, cluster); !rok || ready > s.cycle {
-			if rok {
-				deferUntil(ready)
-			}
+		if ready := s.srcsReadyAt(e, cluster); ready > s.cycle {
+			deferUntil(ready)
 			continue
 		}
 		if e.cls.IsMem() {
@@ -918,8 +960,7 @@ func (s *sim) pickIntPipe(e *entry, used *[2][2]bool) (int8, bool) {
 				if !canDo(int(c), sb) {
 					continue
 				}
-				ready, ok := s.srcsReadyAt(e, c)
-				if ok && ready < bestReady {
+				if ready := s.srcsReadyAt(e, c); ready < bestReady {
 					bestReady = ready
 					best = c
 				}
@@ -946,31 +987,51 @@ func (s *sim) pickIntPipe(e *entry, used *[2][2]bool) (int8, bool) {
 	return 0, false
 }
 
-// start marks e issued with the given latency on a cluster.
-func (s *sim) start(e *entry, cluster int8, lat int) {
+// begin marks e issued this cycle on a cluster: it leaves the ready
+// list and its queue slot's release is queued.
+func (s *sim) begin(e *entry, cluster int8) {
 	e.issued = true
-	s.outstanding++
 	e.issueAt = s.cycle
 	e.cluster = cluster
-	e.readyAt = s.cycle + uint64(lat)
-	e.doneAt = e.readyAt
-	s.readyByInum[e.inum%uint64(len(s.readyByInum))] = e.readyAt
-	if e.cls == isa.ClassJump && e.mispredicted {
-		// Mispredicted jumps flush and restart: fixed penalty applied
-		// at resolve via waitBranch handling.
-		e.doneAt = e.readyAt
+	clearBit(s.ready, s.slot(e.inum))
+	if s.freeHead > 0 && len(s.frees) == cap(s.frees) {
+		n := copy(s.frees, s.frees[s.freeHead:])
+		s.frees, s.freeHead = s.frees[:n], 0
 	}
-	s.schedule(e.doneAt)
-	s.schedule(e.issueAt + uint64(s.cfg.QueueFreeLag))
+	s.frees = append(s.frees, e.inum)
+}
+
+// complete records issued e's result times (fixed at issue), queues
+// its resolution, and wakes its consumers: each learns when this
+// operand arrives, and one whose last unissued producer e was joins
+// the ready list (if mapped).
+func (s *sim) complete(e *entry, readyAt uint64) {
+	e.readyAt = readyAt
+	e.doneAt = readyAt
+	s.readyByInum[e.inum%uint64(len(s.readyByInum))] = readyAt
+	s.pushDone(completion{max(readyAt, s.cycle+1), e.inum})
+	for u := e.firstUse; u != 0; u = s.uses[u-1] {
+		slot := int(u-1) / 3
+		c := &s.rob[slot]
+		c.operandsAt = max(c.operandsAt, readyAt)
+		if c.waiting--; c.waiting == 0 && c.mapped {
+			setBit(s.ready, slot)
+		}
+	}
+	e.firstUse = 0
+}
+
+// start issues e with the given latency on a cluster. A mispredicted
+// jump's flush penalty is applied at resolve (waitBranch handling).
+func (s *sim) start(e *entry, cluster int8, lat int) {
+	s.begin(e, cluster)
+	s.complete(e, s.cycle+uint64(lat))
 }
 
 // issueMem issues a load or store: it walks the memory hierarchy,
 // applies load-use speculation, and schedules traps.
 func (s *sim) issueMem(e *entry, cluster int8) {
-	e.issued = true
-	s.outstanding++
-	e.issueAt = s.cycle
-	e.cluster = cluster
+	s.begin(e, cluster)
 
 	write := e.isStore
 	res := s.hier.Data(e.rec.EA, write, s.cycle)
@@ -1011,11 +1072,7 @@ func (s *sim) issueMem(e *entry, cluster int8) {
 	if e.isStore {
 		// Stores resolve their address after one cycle; data commits
 		// from the store buffer without impeding the pipe.
-		e.readyAt = s.cycle + 1
-		e.doneAt = e.readyAt
-		s.readyByInum[e.inum%uint64(len(s.readyByInum))] = e.readyAt
-		s.schedule(e.doneAt)
-		s.schedule(e.issueAt + uint64(s.cfg.QueueFreeLag))
+		s.complete(e, s.cycle+1)
 		return
 	}
 
@@ -1033,6 +1090,7 @@ func (s *sim) issueMem(e *entry, cluster int8) {
 		actual++
 	}
 
+	lat := actual
 	if s.cfg.Feat.LoadUseSpec {
 		predHit := s.luse.PredictHit()
 		s.luse.Train(hit)
@@ -1045,33 +1103,20 @@ func (s *sim) issueMem(e *entry, cluster int8) {
 				rec--
 			}
 			s.blockIssue(s.cycle+hitLat+rec, events.CompReplay)
-			e.readyAt = s.cycle + actual
 		} else if !predHit {
 			// Conservative: consumers wait for the fill signal.
-			e.readyAt = s.cycle + maxU(actual, hitLat+2)
-		} else {
-			e.readyAt = s.cycle + actual
+			lat = max(actual, hitLat+2)
 		}
 	} else {
 		// No speculation: consumers always wait an extra two cycles
 		// for the hit/miss outcome.
-		e.readyAt = s.cycle + actual + 2
+		lat = actual + 2
 	}
-	e.doneAt = e.readyAt
-	s.readyByInum[e.inum%uint64(len(s.readyByInum))] = e.readyAt
-	s.schedule(e.doneAt)
-	s.schedule(e.issueAt + uint64(s.cfg.QueueFreeLag))
+	s.complete(e, s.cycle+lat)
 
 	// Load-load ordering: if a younger load to the same granule has
 	// already executed, the machine replays.
 	s.loadOrderTrap(e)
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // mapStage renames and dispatches fetched instructions into the ROB
@@ -1086,7 +1131,8 @@ func (s *sim) mapStage() {
 		if s.mapInum >= s.headInum+uint64(s.count) {
 			break
 		}
-		e := s.at(s.mapInum)
+		slot := s.slot(s.mapInum)
+		e := &s.rob[slot]
 		if s.cycle < e.availAt {
 			break
 		}
@@ -1142,6 +1188,9 @@ func (s *sim) mapStage() {
 			s.fpQ++
 		} else {
 			s.intQ++
+		}
+		if e.waiting == 0 {
+			setBit(s.ready, slot)
 		}
 	}
 }

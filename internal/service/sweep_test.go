@@ -304,6 +304,37 @@ func TestSweepValidationErrors(t *testing.T) {
 	}
 }
 
+// TestSweepOverlappingAxesRejectedAtSubmit: two axes on one field,
+// or one inside another's, would make differently labelled points one
+// config under one cache key, so the submit itself is a 400 naming
+// both axes and no job is queued.
+func TestSweepOverlappingAxesRejectedAtSubmit(t *testing.T) {
+	_, ts := newTestServer(t)
+	for name, body := range map[string]string{
+		"same field": `{"axes": [{"name": "a", "field": "ROB", "values": [80, 20]},
+			{"name": "b", "field": "ROB", "values": [40]}], "workloads": ["C-Ca"]}`,
+		"nested field": `{"machine": "sim-alpha-ddr", "axes": [{"name": "a", "field": "DDR", "values": [{"TCL": 4}]},
+			{"name": "b", "field": "DDR.TCL", "values": [2, 6]}], "workloads": ["C-Ca"]}`,
+	} {
+		code, _, out := post(t, ts.URL+"/v1/sweep", body)
+		var e errorBody
+		if err := json.Unmarshal(out, &e); err != nil {
+			t.Fatal(err)
+		}
+		if code != http.StatusBadRequest || !strings.Contains(e.Error, `axes "a"`) || !strings.Contains(e.Error, `"b"`) {
+			t.Errorf("%s: POST /v1/sweep = %d %q, want 400 naming axes a and b", name, code, e.Error)
+		}
+	}
+	_, _, out := get(t, ts.URL+"/v1/sweep")
+	var jobs []SweepJob
+	if err := json.Unmarshal(out, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Errorf("rejected submits queued jobs: %+v", jobs)
+	}
+}
+
 // TestSweepMappingPolicyAxis: page mapping is a config value, so it
 // sweeps like any knob, and on a memory-bound macrobenchmark the two
 // policies are two different machines with two different answers.

@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 )
 
@@ -127,7 +128,10 @@ func (s *Space) Size() int {
 // different values would alias to the same cache key and a sweep
 // would silently serve one point's results for another. So is a nil
 // value: a JSON null leaves its field alone, so every point would
-// alias the base.
+// alias the base. So are two axes on one field, or one axis inside
+// another's field ("DDR" and "DDR.TCL"): the later axis would
+// silently override the earlier, making differently labelled points
+// one config under one cache key.
 func (s *Space) Check() error {
 	if s.Base == nil {
 		return fmt.Errorf("sweep: space has no base config")
@@ -140,6 +144,7 @@ func (s *Space) Check() error {
 		return fmt.Errorf("sweep: space has no axes")
 	}
 	seen := make(map[string]bool, len(s.Axes))
+	fields := make([][]int, len(s.Axes))
 	for i, a := range s.Axes {
 		if a.Name == "" {
 			return fmt.Errorf("sweep: axis %d has no name", i)
@@ -151,10 +156,17 @@ func (s *Space) Check() error {
 		if len(a.Values) == 0 {
 			return fmt.Errorf("sweep: axis %q has no values", a.Name)
 		}
-		ft, err := fieldType(bt, a.Field)
+		ft, index, err := fieldType(bt, a.Field)
 		if err != nil {
 			return fmt.Errorf("sweep: axis %q: %w", a.Name, err)
 		}
+		for j, other := range fields[:i] {
+			if overlaps(index, other) {
+				return fmt.Errorf("sweep: axes %q (%s) and %q (%s) set overlapping fields; the later would override the earlier",
+					s.Axes[j].Name, s.Axes[j].Field, a.Name, a.Field)
+			}
+		}
+		fields[i] = index
 		switch ft.Kind() {
 		case reflect.Func, reflect.Chan, reflect.UnsafePointer:
 			return fmt.Errorf("sweep: axis %q: field %q has fingerprint-opaque kind %s; sweeping it would alias distinct points to one cache key",
@@ -276,22 +288,33 @@ func (s *Space) ValueLabel(axis, vi int) string {
 }
 
 // fieldType resolves a dot-separated path of exported struct
-// fields, matched by exact name, to the named field's type.
-func fieldType(t reflect.Type, path string) (reflect.Type, error) {
+// fields, matched by exact name, to the named field's type and its
+// index sequence from the base (as reflect.Value.FieldByIndex takes
+// it).
+func fieldType(t reflect.Type, path string) (reflect.Type, []int, error) {
+	var index []int
 	for _, part := range strings.Split(path, ".") {
 		if t.Kind() != reflect.Struct {
-			return nil, fmt.Errorf("field path %q: %q is not reachable through a struct", path, part)
+			return nil, nil, fmt.Errorf("field path %q: %q is not reachable through a struct", path, part)
 		}
 		f, ok := t.FieldByName(part)
 		if !ok {
-			return nil, fmt.Errorf("field path %q: no field %q in %s", path, part, t)
+			return nil, nil, fmt.Errorf("field path %q: no field %q in %s", path, part, t)
 		}
 		if !f.IsExported() {
-			return nil, fmt.Errorf("field path %q resolves to an unexported field", path)
+			return nil, nil, fmt.Errorf("field path %q resolves to an unexported field", path)
 		}
+		index = append(index, f.Index...)
 		t = f.Type
 	}
-	return t, nil
+	return t, index, nil
+}
+
+// overlaps reports whether two field index sequences name the same
+// field or one field inside the other.
+func overlaps(a, b []int) bool {
+	n := min(len(a), len(b))
+	return slices.Equal(a[:n], b[:n])
 }
 
 // Strategy enumerates the points of a space to explore, in a

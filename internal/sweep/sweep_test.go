@@ -45,6 +45,13 @@ func TestSpaceCheck(t *testing.T) {
 			Axes: []Axis{{Name: "x", Field: "Hook", Values: []any{nil}}}}, "fingerprint-opaque"},
 		{"non-struct base", &Space{Base: 42,
 			Axes: []Axis{Ints("x", "ROB", 1)}}, "must be a struct"},
+		// Points a=80 b=40 and a=20 b=40 would both be ROB 40 under
+		// one cache key.
+		{"two axes on one field", &Space{Base: model.DefaultAlphaConfig(),
+			Axes: []Axis{Ints("a", "ROB", 80, 20), Ints("b", "ROB", 40)}}, "overlapping fields"},
+		{"axis inside another's field", &Space{Base: model.SimAlphaDDRConfig(),
+			Axes: []Axis{{Name: "ddr", Field: "DDR", Values: []any{map[string]any{"TCL": 4}}},
+				Ints("tcl", "DDR.TCL", 2, 6)}}, "overlapping fields"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,15 +167,18 @@ func TestSpaceCheckMatchesOverride(t *testing.T) {
 		t.Error("Check accepted a pointer base, which Override would decode through")
 	}
 
-	// An axis over a whole struct field may take a JSON object; a
-	// second axis inside that field leaves the first axis's value as
-	// it was.
+	// An axis over a whole struct field may take a JSON object. A
+	// second axis inside that field is rejected, and even unchecked,
+	// Config leaves the first axis's value as it was.
 	dram := map[string]any{"CASCycles": 9}
 	s := &Space{Base: model.DefaultAlphaConfig(), Axes: []Axis{
 		{Name: "dram", Field: "DRAM", Values: []any{dram}},
 		Bools("openpage", "DRAM.OpenPage", false),
 	}}
-	if err := s.Check(); err != nil {
+	if err := s.Check(); err == nil {
+		t.Error("Check accepted an axis inside another axis's field")
+	}
+	if err := (&Space{Base: s.Base, Axes: s.Axes[:1]}).Check(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Config(s.Origin()); err != nil {

@@ -19,8 +19,9 @@ import (
 //
 // The checked-in full-length references (results_full.txt,
 // results_mapping.txt) are asserted by TestGoldenFullResults, which
-// regenerates every experiment at full length (~20 CPU-minutes) and
-// therefore only runs when GOLDEN_FULL=1 is set.
+// regenerates every experiment at full length (about 90 s of wall
+// clock and 3 CPU-minutes on a 2-vCPU Xeon) and therefore only runs
+// when GOLDEN_FULL=1 is set; CI runs it as its own step.
 var update = flag.Bool("update", false, "re-bless the golden files in testdata/")
 
 // goldenOpt is the blessed operating point: runs truncated to 15,000
@@ -226,8 +227,9 @@ func checkGolden(t *testing.T, name, got string) {
 // the regenerated tables must match results_full.txt and
 // results_mapping.txt byte-for-byte. This is the paper's whole
 // argument — simulator results drift silently unless continuously
-// revalidated against a reference — applied to ourselves. It costs
-// about 20 CPU-minutes, so it is gated behind GOLDEN_FULL=1.
+// revalidated against a reference — applied to ourselves. It takes
+// about 90 s on a 2-vCPU Xeon (3 CPU-minutes), so it is gated behind
+// GOLDEN_FULL=1; CI runs it as its own step.
 func TestGoldenFullResults(t *testing.T) {
 	if os.Getenv("GOLDEN_FULL") == "" {
 		t.Skip("set GOLDEN_FULL=1 to regenerate every experiment at full length")
