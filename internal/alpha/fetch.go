@@ -124,14 +124,12 @@ func (s *sim) fetch() {
 	// The first mispredicted branch stalls fetch until it resolves.
 	specHist := s.cfg.Feat.SpecUpdate && !s.cfg.Bugs.NoSpecUpdate
 	var mispredictIdx = -1
-	var dirPreds [pendCap]bool
 	for i := 0; i < n; i++ {
 		rec := s.pendAt(i)
 		if rec.Inst.Op.Class() != isa.ClassCondBr {
 			continue
 		}
 		pred := s.tour.Predict(rec.PC, specHist)
-		dirPreds[i] = pred
 		if specHist {
 			s.tour.ShiftSpec(pred)
 		}
@@ -239,9 +237,6 @@ func (s *sim) fetch() {
 		e := s.alloc(rec)
 		e.availAt = deliverAt
 		e.fetchMiss = !ires.L1Hit
-		if rec.Inst.Op.Class() == isa.ClassCondBr {
-			e.dirPred = dirPreds[i]
-		}
 		switch rec.Inst.Op {
 		case isa.OpBsr, isa.OpJsr, isa.OpRet:
 			e.rasOp = true

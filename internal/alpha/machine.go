@@ -94,7 +94,6 @@ type entry struct {
 	queueFreed bool
 
 	// Control bookkeeping.
-	dirPred      bool // predicted direction for conditional branches
 	mispredicted bool // fetch waits on this entry's resolution
 	rasOp        bool
 	lineTrainPC  uint64 // delayed line-predictor training (non-spec update)
@@ -104,7 +103,6 @@ type entry struct {
 	// Memory bookkeeping.
 	isLoad, isStore bool
 	granule         uint64
-	l1Hit           bool
 
 	// CPI-stack attribution.
 	fetchMiss bool             // delivered by a fetch that missed the I-cache
@@ -1077,7 +1075,6 @@ func (s *sim) issueMem(e *entry, cluster int8) {
 	}
 
 	hit := res.L1Hit || res.VBHit
-	e.l1Hit = hit
 	hitLat := uint64(s.cfg.Hier.L1D.HitLatency)
 	if e.cls == isa.ClassFPLoad {
 		hitLat++ // FP loads are 4 cycles (Table 1)

@@ -234,7 +234,7 @@ func (h *Hierarchy) Data(vaddr uint64, write bool, now uint64) Result {
 		if hit, dirty := h.VB.Probe(block); hit {
 			res.VBHit = true
 			res.Latency = h.Cfg.VBHitLatency
-			h.insertL1D(paddr, dirty || write, now)
+			h.insertL1D(paddr, dirty || write)
 			return res
 		}
 	}
@@ -259,14 +259,14 @@ func (h *Hierarchy) Data(vaddr uint64, write bool, now uint64) Result {
 		// already taken inside l2Access.)
 		h.mafD.Allocate(block, t, t+uint64(lat))
 	}
-	h.insertL1D(paddr, write, now)
+	h.insertL1D(paddr, write)
 	res.Latency = total
 	return res
 }
 
 // insertL1D fills a block into the L1D, spilling the victim into the
 // victim buffer and write-backs into the L2.
-func (h *Hierarchy) insertL1D(paddr uint64, dirty bool, now uint64) {
+func (h *Hierarchy) insertL1D(paddr uint64, dirty bool) {
 	victim, ok, victimDirty := h.L1D.Insert(paddr, dirty)
 	if !ok {
 		return
@@ -424,12 +424,12 @@ func (h *Hierarchy) WarmData(vaddr uint64, write bool) {
 	}
 	if h.VB != nil {
 		if hit, dirty := h.VB.Probe(h.L1D.Block(paddr)); hit {
-			h.insertL1D(paddr, dirty || write, 0)
+			h.insertL1D(paddr, dirty || write)
 			return
 		}
 	}
 	if hit, _ := h.L2.Probe(paddr, write); !hit {
 		h.L2.Insert(paddr, write)
 	}
-	h.insertL1D(paddr, write, 0)
+	h.insertL1D(paddr, write)
 }

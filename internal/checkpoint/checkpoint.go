@@ -30,11 +30,14 @@
 // The binary format is versioned and strict: an 8-byte magic, a
 // format version, then the state fields in fixed canonical order
 // (pages sorted by virtual page number, booleans as 0/1 bytes).
+// codec.state is the layout's one definition: Encode and Decode both
+// run that one walk over the fields, so every bound and canonical
+// check is written once and the two directions cannot disagree.
 // Decode rejects truncated input, version skew, non-canonical
-// encodings, and trailing bytes; every length is bounds-checked
-// before allocation. The content address of a checkpoint is the
-// SHA-256 of its encoded bytes, which is what the disk store and the
-// distributed tier key on.
+// encodings, and trailing bytes, naming the section it failed in;
+// every length is bounds-checked before allocation. The content
+// address of a checkpoint is the SHA-256 of its encoded bytes, which
+// is what the disk store and the distributed tier key on.
 package checkpoint
 
 import (

@@ -2,12 +2,12 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cache"
-	"repro/internal/isa"
-	"repro/internal/predict"
 	"repro/internal/vm"
 )
 
@@ -19,9 +19,10 @@ var magic = [8]byte{'R', 'S', 'I', 'M', 'C', 'K', 'P', 'T'}
 // Version is the current checkpoint format version.
 const Version uint32 = 1
 
-// Decode sanity caps: every length is checked against these before
+// Format bounds: every length is checked against these before
 // allocation, so corrupted or adversarial input fails cleanly instead
-// of exhausting memory.
+// of exhausting memory, and an encoder never writes what Decode
+// would refuse.
 const (
 	maxString = 1 << 12 // identity strings
 	maxPages  = 1 << 16 // 512 MB of 8 KB pages, double the DS-10L's memory
@@ -33,705 +34,378 @@ const (
 // (pages are kept sorted by ExportPages, everything else has fixed
 // order), so content addresses are stable.
 func Encode(s *State) ([]byte, error) {
-	switch s.Model {
-	case ModelAlpha:
-		if s.Tour == nil {
-			return nil, fmt.Errorf("checkpoint: alpha state without tournament predictor")
-		}
-		if s.Line == nil || s.Way == nil {
-			return nil, fmt.Errorf("checkpoint: alpha state without line/way predictors")
-		}
-	case ModelRUU:
-	case ModelInorder:
-		if len(s.Bimodal) == 0 {
-			return nil, fmt.Errorf("checkpoint: inorder state without bimodal table")
-		}
-	default:
-		return nil, fmt.Errorf("checkpoint: unknown model family %q", s.Model)
-	}
-	var w writer
-	w.bytes(magic[:])
-	w.u32(Version)
-	w.str(s.Model)
-	w.str(s.Machine)
-	w.str(s.Compat)
-	w.str(s.Workload)
-	w.u64(s.Position)
-
-	// CPU architectural state.
-	w.u64(s.CPU.PC)
-	for _, r := range s.CPU.R {
-		w.u64(r)
-	}
-	for _, f := range s.CPU.F {
-		w.u64(math.Float64bits(f))
-	}
-	w.bool(s.CPU.Halted)
-	w.u64(s.CPU.Seq)
-
-	// Memory image.
-	if len(s.Pages) > maxPages {
-		return nil, fmt.Errorf("checkpoint: %d pages exceeds the format bound %d", len(s.Pages), maxPages)
-	}
-	w.u32(uint32(len(s.Pages)))
-	for i := range s.Pages {
-		if i > 0 && s.Pages[i].VPage <= s.Pages[i-1].VPage {
-			return nil, fmt.Errorf("checkpoint: pages not strictly ascending at %d", i)
-		}
-		w.u64(s.Pages[i].VPage)
-		w.bytes(s.Pages[i].Data[:])
-	}
-
-	// Warmed memory system.
-	if err := w.cacheState(&s.Hier.L1I); err != nil {
+	var c codec
+	if err := c.state(s); err != nil {
 		return nil, err
 	}
-	if err := w.cacheState(&s.Hier.L1D); err != nil {
-		return nil, err
-	}
-	if err := w.cacheState(&s.Hier.L2); err != nil {
-		return nil, err
-	}
-	w.bool(s.Hier.VB != nil)
-	if s.Hier.VB != nil {
-		if err := w.vbState(s.Hier.VB); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.tlbState(&s.Hier.ITLB); err != nil {
-		return nil, err
-	}
-	if err := w.tlbState(&s.Hier.DTLB); err != nil {
-		return nil, err
-	}
-	w.str(s.Hier.Mapper.Policy)
-	if len(s.Hier.Mapper.Pairs) > maxSlots {
-		return nil, fmt.Errorf("checkpoint: %d mapping pairs exceeds the format bound", len(s.Hier.Mapper.Pairs))
-	}
-	w.u32(uint32(len(s.Hier.Mapper.Pairs)))
-	for _, p := range s.Hier.Mapper.Pairs {
-		w.u64(p.VPage)
-		w.u64(p.Frame)
-	}
-
-	// Warmed predictors.
-	w.bool(s.Tour != nil)
-	if s.Tour != nil {
-		for _, sl := range [][]uint32{s.Tour.LocalHist, s.Tour.LocalCtr, s.Tour.GlobalCtr, s.Tour.ChoiceCtr} {
-			if err := w.u32s(sl); err != nil {
-				return nil, err
-			}
-		}
-		w.u32(s.Tour.SpecHist)
-		w.u32(s.Tour.RetHist)
-		w.u64(s.Tour.Lookups)
-		w.u64(s.Tour.Mispredicts)
-	}
-	w.bool(s.Line != nil)
-	if s.Line != nil {
-		n := len(s.Line.Entries)
-		if n > maxSlots {
-			return nil, fmt.Errorf("checkpoint: line predictor of %d entries exceeds the format bound", n)
-		}
-		if len(s.Line.Valid) != n {
-			return nil, fmt.Errorf("checkpoint: inconsistent line-predictor state slice lengths")
-		}
-		w.u32(uint32(n))
-		w.u64s(s.Line.Entries)
-		w.bools(s.Line.Valid)
-		w.u64(s.Line.Lookups)
-		w.u64(s.Line.Mispredicts)
-	}
-	w.bool(s.Way != nil)
-	if s.Way != nil {
-		n := len(s.Way.Ways)
-		if n > maxSlots {
-			return nil, fmt.Errorf("checkpoint: way predictor of %d entries exceeds the format bound", n)
-		}
-		if len(s.Way.Valid) != n {
-			return nil, fmt.Errorf("checkpoint: inconsistent way-predictor state slice lengths")
-		}
-		w.u32(uint32(n))
-		w.bytes(s.Way.Ways)
-		w.bools(s.Way.Valid)
-		w.u64(s.Way.Lookups)
-		w.u64(s.Way.Mispredicts)
-	}
-	if err := w.u32s(s.Bimodal); err != nil {
-		return nil, err
-	}
-	return w.buf, nil
+	return c.buf, nil
 }
 
 // Decode parses a checkpoint blob, rejecting truncated, corrupted,
 // version-skewed, or non-canonical input with a descriptive error.
 func Decode(blob []byte) (*State, error) {
-	r := reader{buf: blob}
-	var m [8]byte
-	if err := r.bytes(m[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+	c, s := codec{dec: true, buf: blob}, &State{}
+	if err := c.state(s); err != nil {
+		return nil, err
 	}
+	return s, nil
+}
+
+// codec walks a state's fields in canonical order. Encoding appends
+// each field to buf; decoding reads each from buf at off, checking it
+// and storing it into the state. The first error sticks: every later
+// step does nothing, and the error names the section it arose in.
+type codec struct {
+	dec     bool
+	buf     []byte
+	off     int
+	section string
+	err     error
+}
+
+// state is the one definition of the Version-1 layout.
+func (c *codec) state(s *State) error {
+	m, v := magic, Version
+	c.bytes(m[:])
 	if m != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint blob)", m[:])
+		c.fail("bad magic %q (not a checkpoint blob)", m[:])
 	}
-	v, err := r.u32()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
+	c.u32(&v)
 	if v != Version {
-		return nil, fmt.Errorf("checkpoint: format version %d, this build reads %d", v, Version)
+		c.fail("format version %d, this build reads %d", v, Version)
 	}
-	s := &State{}
-	if s.Model, err = r.str(); err != nil {
-		return nil, fmt.Errorf("checkpoint: model: %w", err)
-	}
+	c.section = "model"
+	c.str(&s.Model)
 	switch s.Model {
 	case ModelAlpha, ModelRUU, ModelInorder:
 	default:
-		return nil, fmt.Errorf("checkpoint: unknown model family %q", s.Model)
+		c.fail("unknown model family %q", s.Model)
 	}
-	if s.Machine, err = r.str(); err != nil {
-		return nil, fmt.Errorf("checkpoint: machine: %w", err)
-	}
-	if s.Compat, err = r.str(); err != nil {
-		return nil, fmt.Errorf("checkpoint: compat: %w", err)
-	}
-	if s.Workload, err = r.str(); err != nil {
-		return nil, fmt.Errorf("checkpoint: workload: %w", err)
-	}
-	if s.Position, err = r.u64(); err != nil {
-		return nil, fmt.Errorf("checkpoint: position: %w", err)
-	}
+	c.section = "machine"
+	c.str(&s.Machine)
+	c.section = "compat"
+	c.str(&s.Compat)
+	c.section = "workload"
+	c.str(&s.Workload)
+	c.section = "position"
+	c.u64(&s.Position)
 
-	if s.CPU.PC, err = r.u64(); err != nil {
-		return nil, fmt.Errorf("checkpoint: cpu: %w", err)
+	c.section = "cpu"
+	c.u64(&s.CPU.PC)
+	for i := range s.CPU.R {
+		c.u64(&s.CPU.R[i])
 	}
-	for i := 0; i < isa.NumRegs; i++ {
-		if s.CPU.R[i], err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: cpu: %w", err)
+	for i := range s.CPU.F {
+		b := math.Float64bits(s.CPU.F[i])
+		if c.u64(&b); c.dec {
+			s.CPU.F[i] = math.Float64frombits(b)
 		}
 	}
-	for i := 0; i < isa.NumRegs; i++ {
-		b, err := r.u64()
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: cpu: %w", err)
-		}
-		s.CPU.F[i] = math.Float64frombits(b)
-	}
-	if s.CPU.Halted, err = r.bool(); err != nil {
-		return nil, fmt.Errorf("checkpoint: cpu: %w", err)
-	}
-	if s.CPU.Seq, err = r.u64(); err != nil {
-		return nil, fmt.Errorf("checkpoint: cpu: %w", err)
-	}
+	c.bool(&s.CPU.Halted)
+	c.u64(&s.CPU.Seq)
 
-	n, err := r.u32()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: pages: %w", err)
-	}
-	if n > maxPages {
-		return nil, fmt.Errorf("checkpoint: %d pages exceeds the format bound %d", n, maxPages)
-	}
-	if err := r.need(uint64(n) * (8 + vm.PageSize)); err != nil {
-		return nil, fmt.Errorf("checkpoint: pages: %w", err)
-	}
-	if n > 0 {
-		s.Pages = make([]vm.PageImage, n)
-	}
-	for i := range s.Pages {
-		if s.Pages[i].VPage, err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: pages: %w", err)
-		}
-		if i > 0 && s.Pages[i].VPage <= s.Pages[i-1].VPage {
-			return nil, fmt.Errorf("checkpoint: pages not strictly ascending at %d (non-canonical)", i)
-		}
-		if err = r.bytes(s.Pages[i].Data[:]); err != nil {
-			return nil, fmt.Errorf("checkpoint: pages: %w", err)
-		}
-	}
-
-	if s.Hier.L1I, err = r.cacheState("L1I"); err != nil {
-		return nil, err
-	}
-	if s.Hier.L1D, err = r.cacheState("L1D"); err != nil {
-		return nil, err
-	}
-	if s.Hier.L2, err = r.cacheState("L2"); err != nil {
-		return nil, err
-	}
-	hasVB, err := r.bool()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: victim buffer: %w", err)
-	}
-	if hasVB {
-		vb, err := r.vbState()
-		if err != nil {
-			return nil, err
-		}
-		s.Hier.VB = &vb
-	}
-	if s.Hier.ITLB, err = r.tlbState("ITLB"); err != nil {
-		return nil, err
-	}
-	if s.Hier.DTLB, err = r.tlbState("DTLB"); err != nil {
-		return nil, err
-	}
-	if s.Hier.Mapper.Policy, err = r.str(); err != nil {
-		return nil, fmt.Errorf("checkpoint: mapper: %w", err)
-	}
-	np, err := r.u32()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: mapper: %w", err)
-	}
-	if np > maxSlots {
-		return nil, fmt.Errorf("checkpoint: %d mapping pairs exceeds the format bound", np)
-	}
-	if err := r.need(uint64(np) * 16); err != nil {
-		return nil, fmt.Errorf("checkpoint: mapper: %w", err)
-	}
-	if np > 0 {
-		s.Hier.Mapper.Pairs = make([]vm.MapPair, np)
-	}
-	for i := range s.Hier.Mapper.Pairs {
-		if s.Hier.Mapper.Pairs[i].VPage, err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: mapper: %w", err)
-		}
-		if s.Hier.Mapper.Pairs[i].Frame, err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: mapper: %w", err)
-		}
-	}
-
-	hasTour, err := r.bool()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: predictor: %w", err)
-	}
-	if hasTour {
-		t := &predict.TournamentState{}
-		for _, dst := range []*[]uint32{&t.LocalHist, &t.LocalCtr, &t.GlobalCtr, &t.ChoiceCtr} {
-			if *dst, err = r.u32s(); err != nil {
-				return nil, fmt.Errorf("checkpoint: predictor: %w", err)
+	c.section = "pages"
+	if n := c.count(len(s.Pages), maxPages); table(c, &s.Pages, n, 8+vm.PageSize) {
+		for i := range s.Pages {
+			c.u64(&s.Pages[i].VPage)
+			if i > 0 && s.Pages[i].VPage <= s.Pages[i-1].VPage {
+				c.fail("pages not strictly ascending at %d (non-canonical)", i)
 			}
+			c.bytes(s.Pages[i].Data[:])
 		}
-		if t.SpecHist, err = r.u32(); err != nil {
-			return nil, fmt.Errorf("checkpoint: predictor: %w", err)
-		}
-		if t.RetHist, err = r.u32(); err != nil {
-			return nil, fmt.Errorf("checkpoint: predictor: %w", err)
-		}
-		if t.Lookups, err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: predictor: %w", err)
-		}
-		if t.Mispredicts, err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: predictor: %w", err)
-		}
-		s.Tour = t
-	}
-	hasLine, err := r.bool()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: line predictor: %w", err)
-	}
-	if hasLine {
-		l := &predict.LineState{}
-		n, err := r.u32()
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: line predictor: %w", err)
-		}
-		if n > maxSlots {
-			return nil, fmt.Errorf("checkpoint: line predictor of %d entries exceeds the format bound", n)
-		}
-		if err := r.need(uint64(n)*9 + 16); err != nil {
-			return nil, fmt.Errorf("checkpoint: line predictor: %w", err)
-		}
-		if l.Entries, err = r.u64s(int(n)); err != nil {
-			return nil, fmt.Errorf("checkpoint: line predictor: %w", err)
-		}
-		if l.Valid, err = r.bools(int(n)); err != nil {
-			return nil, fmt.Errorf("checkpoint: line predictor: %w", err)
-		}
-		if l.Lookups, err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: line predictor: %w", err)
-		}
-		if l.Mispredicts, err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: line predictor: %w", err)
-		}
-		s.Line = l
-	}
-	hasWay, err := r.bool()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: way predictor: %w", err)
-	}
-	if hasWay {
-		wp := &predict.WayState{}
-		n, err := r.u32()
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: way predictor: %w", err)
-		}
-		if n > maxSlots {
-			return nil, fmt.Errorf("checkpoint: way predictor of %d entries exceeds the format bound", n)
-		}
-		if err := r.need(uint64(n)*2 + 16); err != nil {
-			return nil, fmt.Errorf("checkpoint: way predictor: %w", err)
-		}
-		wp.Ways = make([]uint8, n)
-		if err = r.bytes(wp.Ways); err != nil {
-			return nil, fmt.Errorf("checkpoint: way predictor: %w", err)
-		}
-		if wp.Valid, err = r.bools(int(n)); err != nil {
-			return nil, fmt.Errorf("checkpoint: way predictor: %w", err)
-		}
-		if wp.Lookups, err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: way predictor: %w", err)
-		}
-		if wp.Mispredicts, err = r.u64(); err != nil {
-			return nil, fmt.Errorf("checkpoint: way predictor: %w", err)
-		}
-		s.Way = wp
-	}
-	if s.Bimodal, err = r.u32s(); err != nil {
-		return nil, fmt.Errorf("checkpoint: bimodal: %w", err)
-	}
-	if len(s.Bimodal) == 0 {
-		s.Bimodal = nil
 	}
 
-	switch s.Model {
-	case ModelAlpha:
-		if s.Tour == nil {
-			return nil, fmt.Errorf("checkpoint: alpha state without tournament predictor")
-		}
-		if s.Line == nil || s.Way == nil {
-			return nil, fmt.Errorf("checkpoint: alpha state without line/way predictors")
-		}
-	case ModelInorder:
-		if s.Bimodal == nil {
-			return nil, fmt.Errorf("checkpoint: inorder state without bimodal table")
+	h := &s.Hier
+	c.cache("L1I", &h.L1I)
+	c.cache("L1D", &h.L1D)
+	c.cache("L2", &h.L2)
+	c.section = "victim buffer"
+	if present(c, &h.VB) {
+		vb := h.VB
+		n := c.count(len(vb.Blocks), maxSlots)
+		c.u64s(&vb.Blocks, n)
+		c.bools(&vb.Dirty, n)
+		c.bools(&vb.Valid, n)
+		c.index(&vb.Next, n)
+		c.u64(&vb.Hits, &vb.Probes)
+	}
+	c.tlb("ITLB", &h.ITLB)
+	c.tlb("DTLB", &h.DTLB)
+	c.section = "mapper"
+	c.str(&h.Mapper.Policy)
+	if n := c.count(len(h.Mapper.Pairs), maxSlots); table(c, &h.Mapper.Pairs, n, 16) {
+		for i := range h.Mapper.Pairs {
+			c.u64(&h.Mapper.Pairs[i].VPage, &h.Mapper.Pairs[i].Frame)
 		}
 	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes after state", len(r.buf)-r.off)
+
+	c.section = "predictor"
+	if present(c, &s.Tour) {
+		t := s.Tour
+		for _, tbl := range []*[]uint32{&t.LocalHist, &t.LocalCtr, &t.GlobalCtr, &t.ChoiceCtr} {
+			c.u32s(tbl)
+		}
+		c.u32(&t.SpecHist, &t.RetHist)
+		c.u64(&t.Lookups, &t.Mispredicts)
 	}
-	return s, nil
+	c.section = "line predictor"
+	if present(c, &s.Line) {
+		l := s.Line
+		n := c.count(len(l.Entries), maxSlots)
+		c.u64s(&l.Entries, n)
+		c.bools(&l.Valid, n)
+		c.u64(&l.Lookups, &l.Mispredicts)
+	}
+	c.section = "way predictor"
+	if present(c, &s.Way) {
+		w := s.Way
+		if n := c.count(len(w.Ways), maxSlots); table(c, &w.Ways, n, 1) {
+			c.bytes(w.Ways)
+			c.bools(&w.Valid, n)
+		}
+		c.u64(&w.Lookups, &w.Mispredicts)
+	}
+	c.section = "bimodal"
+	c.u32s(&s.Bimodal)
+
+	c.section = ""
+	switch {
+	case s.Model == ModelAlpha && s.Tour == nil:
+		c.fail("alpha state without tournament predictor")
+	case s.Model == ModelAlpha && (s.Line == nil || s.Way == nil):
+		c.fail("alpha state without line/way predictors")
+	case s.Model == ModelInorder && len(s.Bimodal) == 0:
+		c.fail("inorder state without bimodal table")
+	}
+	if c.dec && c.off != len(c.buf) {
+		c.fail("%d trailing bytes after state", len(c.buf)-c.off)
+	}
+	return c.err
 }
 
-// writer accumulates the canonical encoding.
-type writer struct{ buf []byte }
+func (c *codec) cache(name string, st *cache.CacheState) {
+	c.section = name
+	n := c.count(len(st.Tags), maxSlots)
+	c.u64s(&st.Tags, n)
+	c.bools(&st.Valid, n)
+	c.bools(&st.Dirty, n)
+	c.u64s(&st.Age, n)
+	c.u64(&st.Clock, &st.Stats.Accesses, &st.Stats.Hits, &st.Stats.Misses, &st.Stats.Evictions, &st.Stats.Writebacks)
+}
 
-func (w *writer) bytes(b []byte) { w.buf = append(w.buf, b...) }
-func (w *writer) u32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) bool(v bool) {
-	if v {
-		w.buf = append(w.buf, 1)
+func (c *codec) tlb(name string, st *vm.TLBState) {
+	c.section = name
+	n := c.count(len(st.Entries), maxSlots)
+	c.u64s(&st.Entries, n)
+	c.bools(&st.Valid, n)
+	c.index(&st.Next, n)
+	c.u64(&st.Last)
+	c.bool(&st.LastOK)
+	c.u64(&st.Hits, &st.Misses)
+}
+
+// fail records the walk's first error, prefixed with its section.
+func (c *codec) fail(format string, args ...any) {
+	if c.err != nil {
+		return
+	}
+	msg := fmt.Sprintf(format, args...)
+	if c.section != "" {
+		msg = c.section + ": " + msg
+	}
+	c.err = errors.New("checkpoint: " + msg)
+}
+
+// need reports whether the walk may go on with n more bytes: when
+// decoding, the blob must still hold them.
+func (c *codec) need(n uint64) bool {
+	if c.err == nil && c.dec && uint64(len(c.buf)-c.off) < n {
+		c.fail("truncated: need %d bytes, have %d", n, len(c.buf)-c.off)
+	}
+	return c.err == nil
+}
+
+func (c *codec) bytes(b []byte) {
+	if !c.need(uint64(len(b))) {
+		return
+	}
+	if c.dec {
+		c.off += copy(b, c.buf[c.off:])
 	} else {
-		w.buf = append(w.buf, 0)
+		c.buf = append(c.buf, b...)
 	}
 }
 
-func (w *writer) str(s string) {
-	if len(s) > maxString {
-		s = s[:maxString]
-	}
-	w.u32(uint32(len(s)))
-	w.bytes([]byte(s))
-}
-
-func (w *writer) bools(bs []bool) {
-	for _, b := range bs {
-		w.bool(b)
-	}
-}
-
-func (w *writer) u64s(vs []uint64) {
+func (c *codec) u32(vs ...*uint32) {
 	for _, v := range vs {
-		w.u64(v)
-	}
-}
-
-func (w *writer) u32s(vs []uint32) error {
-	if len(vs) > maxSlots {
-		return fmt.Errorf("checkpoint: table of %d entries exceeds the format bound", len(vs))
-	}
-	w.u32(uint32(len(vs)))
-	for _, v := range vs {
-		w.u32(v)
-	}
-	return nil
-}
-
-func (w *writer) cacheState(c *cache.CacheState) error {
-	n := len(c.Tags)
-	if n > maxSlots {
-		return fmt.Errorf("checkpoint: cache of %d slots exceeds the format bound", n)
-	}
-	if len(c.Valid) != n || len(c.Dirty) != n || len(c.Age) != n {
-		return fmt.Errorf("checkpoint: inconsistent cache state slice lengths")
-	}
-	w.u32(uint32(n))
-	w.u64s(c.Tags)
-	w.bools(c.Valid)
-	w.bools(c.Dirty)
-	w.u64s(c.Age)
-	w.u64(c.Clock)
-	w.u64(c.Stats.Accesses)
-	w.u64(c.Stats.Hits)
-	w.u64(c.Stats.Misses)
-	w.u64(c.Stats.Evictions)
-	w.u64(c.Stats.Writebacks)
-	return nil
-}
-
-func (w *writer) vbState(v *cache.VBState) error {
-	n := len(v.Blocks)
-	if n > maxSlots {
-		return fmt.Errorf("checkpoint: victim buffer of %d entries exceeds the format bound", n)
-	}
-	if len(v.Dirty) != n || len(v.Valid) != n {
-		return fmt.Errorf("checkpoint: inconsistent victim-buffer state slice lengths")
-	}
-	w.u32(uint32(n))
-	w.u64s(v.Blocks)
-	w.bools(v.Dirty)
-	w.bools(v.Valid)
-	w.u32(uint32(v.Next))
-	w.u64(v.Hits)
-	w.u64(v.Probes)
-	return nil
-}
-
-func (w *writer) tlbState(t *vm.TLBState) error {
-	n := len(t.Entries)
-	if n > maxSlots {
-		return fmt.Errorf("checkpoint: TLB of %d entries exceeds the format bound", n)
-	}
-	if len(t.Valid) != n {
-		return fmt.Errorf("checkpoint: inconsistent TLB state slice lengths")
-	}
-	w.u32(uint32(n))
-	w.u64s(t.Entries)
-	w.bools(t.Valid)
-	w.u32(uint32(t.Next))
-	w.u64(t.Last)
-	w.bool(t.LastOK)
-	w.u64(t.Hits)
-	w.u64(t.Misses)
-	return nil
-}
-
-// reader parses the canonical encoding with strict bounds checks.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) need(n uint64) error {
-	if uint64(len(r.buf)-r.off) < n {
-		return fmt.Errorf("truncated: need %d bytes, have %d", n, len(r.buf)-r.off)
-	}
-	return nil
-}
-
-func (r *reader) bytes(dst []byte) error {
-	if err := r.need(uint64(len(dst))); err != nil {
-		return err
-	}
-	copy(dst, r.buf[r.off:])
-	r.off += len(dst)
-	return nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) bool() (bool, error) {
-	if err := r.need(1); err != nil {
-		return false, err
-	}
-	b := r.buf[r.off]
-	r.off++
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("non-canonical boolean byte %#x", b)
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxString {
-		return "", fmt.Errorf("string of %d bytes exceeds the format bound %d", n, maxString)
-	}
-	if err := r.need(uint64(n)); err != nil {
-		return "", err
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *reader) bools(n int) ([]bool, error) {
-	out := make([]bool, n)
-	for i := range out {
-		b, err := r.bool()
-		if err != nil {
-			return nil, err
+		if !c.need(4) {
+			return
 		}
-		out[i] = b
-	}
-	return out, nil
-}
-
-func (r *reader) u64s(n int) ([]uint64, error) {
-	if err := r.need(uint64(n) * 8); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i], _ = r.u64()
-	}
-	return out, nil
-}
-
-func (r *reader) u32s() ([]uint32, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSlots {
-		return nil, fmt.Errorf("table of %d entries exceeds the format bound", n)
-	}
-	if err := r.need(uint64(n) * 4); err != nil {
-		return nil, err
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i], _ = r.u32()
-	}
-	return out, nil
-}
-
-func (r *reader) cacheState(name string) (cache.CacheState, error) {
-	var c cache.CacheState
-	n, err := r.u32()
-	if err != nil {
-		return c, fmt.Errorf("checkpoint: %s: %w", name, err)
-	}
-	if n > maxSlots {
-		return c, fmt.Errorf("checkpoint: %s of %d slots exceeds the format bound", name, n)
-	}
-	// tags + age (8 each) + valid + dirty (1 each) per slot, then
-	// clock + 5 stats words.
-	if err := r.need(uint64(n)*18 + 48); err != nil {
-		return c, fmt.Errorf("checkpoint: %s: %w", name, err)
-	}
-	if c.Tags, err = r.u64s(int(n)); err != nil {
-		return c, fmt.Errorf("checkpoint: %s: %w", name, err)
-	}
-	if c.Valid, err = r.bools(int(n)); err != nil {
-		return c, fmt.Errorf("checkpoint: %s: %w", name, err)
-	}
-	if c.Dirty, err = r.bools(int(n)); err != nil {
-		return c, fmt.Errorf("checkpoint: %s: %w", name, err)
-	}
-	if c.Age, err = r.u64s(int(n)); err != nil {
-		return c, fmt.Errorf("checkpoint: %s: %w", name, err)
-	}
-	for _, dst := range []*uint64{&c.Clock, &c.Stats.Accesses, &c.Stats.Hits, &c.Stats.Misses, &c.Stats.Evictions, &c.Stats.Writebacks} {
-		if *dst, err = r.u64(); err != nil {
-			return c, fmt.Errorf("checkpoint: %s: %w", name, err)
+		if c.dec {
+			*v = binary.LittleEndian.Uint32(c.buf[c.off:])
+			c.off += 4
+		} else {
+			c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
 		}
 	}
-	return c, nil
 }
 
-func (r *reader) vbState() (cache.VBState, error) {
-	var v cache.VBState
-	n, err := r.u32()
-	if err != nil {
-		return v, fmt.Errorf("checkpoint: victim buffer: %w", err)
+func (c *codec) u64(vs ...*uint64) {
+	for _, v := range vs {
+		if !c.need(8) {
+			return
+		}
+		if c.dec {
+			*v = binary.LittleEndian.Uint64(c.buf[c.off:])
+			c.off += 8
+		} else {
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+		}
 	}
-	if n > maxSlots {
-		return v, fmt.Errorf("checkpoint: victim buffer of %d entries exceeds the format bound", n)
-	}
-	if v.Blocks, err = r.u64s(int(n)); err != nil {
-		return v, fmt.Errorf("checkpoint: victim buffer: %w", err)
-	}
-	if v.Dirty, err = r.bools(int(n)); err != nil {
-		return v, fmt.Errorf("checkpoint: victim buffer: %w", err)
-	}
-	if v.Valid, err = r.bools(int(n)); err != nil {
-		return v, fmt.Errorf("checkpoint: victim buffer: %w", err)
-	}
-	next, err := r.u32()
-	if err != nil {
-		return v, fmt.Errorf("checkpoint: victim buffer: %w", err)
-	}
-	if n > 0 && next >= n {
-		return v, fmt.Errorf("checkpoint: victim-buffer rotation index %d out of range", next)
-	}
-	v.Next = int(next)
-	if v.Hits, err = r.u64(); err != nil {
-		return v, fmt.Errorf("checkpoint: victim buffer: %w", err)
-	}
-	if v.Probes, err = r.u64(); err != nil {
-		return v, fmt.Errorf("checkpoint: victim buffer: %w", err)
-	}
-	return v, nil
 }
 
-func (r *reader) tlbState(name string) (vm.TLBState, error) {
-	var t vm.TLBState
-	n, err := r.u32()
-	if err != nil {
-		return t, fmt.Errorf("checkpoint: %s: %w", name, err)
+func (c *codec) bool(v *bool) {
+	if !c.need(1) {
+		return
 	}
-	if n > maxSlots {
-		return t, fmt.Errorf("checkpoint: %s of %d entries exceeds the format bound", name, n)
+	if c.dec {
+		*v = c.canonical(c.buf[c.off])
+		c.off++
+	} else {
+		c.buf = append(c.buf, b2u(*v))
 	}
-	if t.Entries, err = r.u64s(int(n)); err != nil {
-		return t, fmt.Errorf("checkpoint: %s: %w", name, err)
+}
+
+// canonical decodes a boolean byte, which must be 0 or 1.
+func (c *codec) canonical(b byte) bool {
+	if b > 1 {
+		c.fail("non-canonical boolean byte %#x", b)
 	}
-	if t.Valid, err = r.bools(int(n)); err != nil {
-		return t, fmt.Errorf("checkpoint: %s: %w", name, err)
+	return b == 1
+}
+
+func b2u(v bool) byte {
+	if v {
+		return 1
 	}
-	next, err := r.u32()
-	if err != nil {
-		return t, fmt.Errorf("checkpoint: %s: %w", name, err)
+	return 0
+}
+
+func (c *codec) str(s *string) {
+	n := c.count(len(*s), maxString)
+	if !c.need(uint64(n)) {
+		return
 	}
-	if n > 0 && next >= n {
-		return t, fmt.Errorf("checkpoint: %s replacement index %d out of range", name, next)
+	if c.dec {
+		*s = string(c.buf[c.off : c.off+n])
+		c.off += n
+	} else {
+		c.buf = append(c.buf, *s...)
 	}
-	t.Next = int(next)
-	if t.Last, err = r.u64(); err != nil {
-		return t, fmt.Errorf("checkpoint: %s: %w", name, err)
+}
+
+// count walks the length prefix of a table or string; n is the length
+// to encode (0 when decoding). The bound is checked before anything is
+// allocated, and an over-long table to encode fails the same check.
+// It returns the length, or 0 once the walk has failed.
+func (c *codec) count(n, bound int) int {
+	u := uint32(min(n, bound+1))
+	c.u32(&u)
+	if int(u) > bound {
+		c.fail("length %d exceeds the format bound %d", max(n, int(u)), bound)
 	}
-	if t.LastOK, err = r.bool(); err != nil {
-		return t, fmt.Errorf("checkpoint: %s: %w", name, err)
+	if c.err != nil {
+		return 0
 	}
-	if t.Hits, err = r.u64(); err != nil {
-		return t, fmt.Errorf("checkpoint: %s: %w", name, err)
+	return int(u)
+}
+
+// index walks a rotation or replacement index into a table of n
+// entries.
+func (c *codec) index(v *int, n int) {
+	u := uint32(*v)
+	if c.u32(&u); c.dec {
+		*v = int(u)
 	}
-	if t.Misses, err = r.u64(); err != nil {
-		return t, fmt.Errorf("checkpoint: %s: %w", name, err)
+	if n > 0 && (*v < 0 || *v >= n) {
+		c.fail("index %d out of range [0,%d)", *v, n)
 	}
-	return t, nil
+}
+
+// table readies a table of n entries, size bytes each, to be walked:
+// a table to encode must hold exactly n entries, and the buffer grows
+// once for all of them; a decoded one is allocated only once the blob
+// is known to hold it. It reports whether the walk goes on.
+func table[T any](c *codec, vs *[]T, n int, size uint64) bool {
+	switch {
+	case !c.dec && len(*vs) != n:
+		c.fail("inconsistent table lengths: %d entries, section has %d", len(*vs), n)
+	case !c.dec:
+		c.buf = slices.Grow(c.buf, n*int(size))
+	case c.need(uint64(n)*size) && n > 0:
+		*vs = make([]T, n)
+	}
+	return c.err == nil
+}
+
+// present walks an optional section's presence byte, allocating the
+// section when decoding one that is there.
+func present[T any](c *codec, p **T) bool {
+	has := *p != nil
+	if c.bool(&has); c.dec && has && c.err == nil {
+		*p = new(T)
+	}
+	return has && c.err == nil
+}
+
+func (c *codec) u64s(vs *[]uint64, n int) {
+	if !table(c, vs, n, 8) {
+		return
+	}
+	if c.dec {
+		src := c.buf[c.off : c.off+8*n]
+		for i := range *vs {
+			(*vs)[i] = binary.LittleEndian.Uint64(src[8*i:])
+		}
+		c.off += 8 * n
+		return
+	}
+	for _, v := range *vs {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
+	}
+}
+
+func (c *codec) bools(vs *[]bool, n int) {
+	if !table(c, vs, n, 1) {
+		return
+	}
+	if c.dec {
+		for i, b := range c.buf[c.off : c.off+n] {
+			(*vs)[i] = c.canonical(b)
+		}
+		c.off += n
+		return
+	}
+	for _, v := range *vs {
+		c.buf = append(c.buf, b2u(v))
+	}
+}
+
+// u32s walks a length-prefixed table of 32-bit words.
+func (c *codec) u32s(vs *[]uint32) {
+	n := c.count(len(*vs), maxSlots)
+	if !table(c, vs, n, 4) {
+		return
+	}
+	if c.dec {
+		src := c.buf[c.off : c.off+4*n]
+		for i := range *vs {
+			(*vs)[i] = binary.LittleEndian.Uint32(src[4*i:])
+		}
+		c.off += 4 * n
+		return
+	}
+	for _, v := range *vs {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, v)
+	}
 }

@@ -2,11 +2,13 @@ package checkpoint
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/isa"
 	"repro/internal/predict"
 	"repro/internal/vm"
 )
@@ -115,6 +117,25 @@ func testState() *State {
 	return s
 }
 
+// nanRegister is a NaN bit pattern: a state holding it in an FP
+// register round-trips its bytes exactly but is not DeepEqual to
+// itself.
+const nanRegister = 0xffffff0000000000
+
+// sameState reports whether two states hold the same values, comparing
+// the FP registers by their bits so that a NaN equals itself.
+func sameState(a, b *State) bool {
+	for i := range a.CPU.F {
+		if math.Float64bits(a.CPU.F[i]) != math.Float64bits(b.CPU.F[i]) {
+			return false
+		}
+	}
+	ac, bc := *a, *b
+	clear(ac.CPU.F[:])
+	clear(bc.CPU.F[:])
+	return reflect.DeepEqual(&ac, &bc)
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -129,6 +150,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		}},
 		{"no-vb", func(s *State) { s.Hier.VB = nil }},
 		{"no-pages", func(s *State) { s.Pages = nil }},
+		{"nan-register", func(s *State) { s.CPU.F[0] = math.Float64frombits(nanRegister) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := testState()
@@ -141,7 +163,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
-			if !reflect.DeepEqual(s, got) {
+			if !sameState(s, got) {
 				t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", s, got)
 			}
 			blob2, err := Encode(got)
@@ -228,6 +250,76 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	blob[off] = 2
 	if _, err := Decode(blob); err == nil || !strings.Contains(err.Error(), "non-canonical") {
 		t.Fatalf("Decode accepted boolean byte 2: %v", err)
+	}
+}
+
+// TestDecodeErrorsNameTheirSection cuts an encoded state inside each
+// section in turn: the error must name the section the cut fell in.
+func TestDecodeErrorsNameTheirSection(t *testing.T) {
+	s := testState()
+	blob, err := Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheSize := func(c cache.CacheState) int { return 4 + 18*len(c.Tags) + 48 }
+	tlbSize := func(t vm.TLBState) int { return 4 + 9*len(t.Entries) + 4 + 8 + 1 + 16 }
+	tour := 1 + 4*4 + 4*(len(s.Tour.LocalHist)+len(s.Tour.LocalCtr)+len(s.Tour.GlobalCtr)+len(s.Tour.ChoiceCtr)) + 4 + 4 + 16
+	off := 8 + 4 // magic, version
+	for _, sec := range []struct {
+		name string
+		size int
+	}{
+		{"model", 4 + len(s.Model)},
+		{"machine", 4 + len(s.Machine)},
+		{"compat", 4 + len(s.Compat)},
+		{"workload", 4 + len(s.Workload)},
+		{"position", 8},
+		{"cpu", 8 + 2*8*isa.NumRegs + 1 + 8},
+		{"pages", 4 + len(s.Pages)*(8+vm.PageSize)},
+		{"L1I", cacheSize(s.Hier.L1I)},
+		{"L1D", cacheSize(s.Hier.L1D)},
+		{"L2", cacheSize(s.Hier.L2)},
+		{"victim buffer", 1 + 4 + 10*len(s.Hier.VB.Blocks) + 4 + 16},
+		{"ITLB", tlbSize(s.Hier.ITLB)},
+		{"DTLB", tlbSize(s.Hier.DTLB)},
+		{"mapper", 4 + len(s.Hier.Mapper.Policy) + 4 + 16*len(s.Hier.Mapper.Pairs)},
+		{"predictor", tour},
+		{"line predictor", 1 + 4 + 9*len(s.Line.Entries) + 16},
+		{"way predictor", 1 + 4 + 2*len(s.Way.Ways) + 16},
+		{"bimodal", 4 + 4*len(s.Bimodal)},
+	} {
+		cut := off + sec.size/2
+		_, err := Decode(blob[:cut])
+		if err == nil || !strings.HasPrefix(err.Error(), "checkpoint: "+sec.name+": ") {
+			t.Errorf("cut at byte %d, inside %s: got %v", cut, sec.name, err)
+		}
+		off += sec.size
+	}
+	if off != len(blob) {
+		t.Fatalf("the sections cover %d of the blob's %d bytes", off, len(blob))
+	}
+}
+
+// TestEncodeRefusesWhatDecodeRejects: the walk's checks run in both
+// directions, so Encode never writes a blob that Decode would refuse.
+func TestEncodeRefusesWhatDecodeRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*State)
+		want string
+	}{
+		{"over-long string", func(s *State) { s.Workload = strings.Repeat("w", maxString+1) }, "workload: length"},
+		{"TLB index", func(s *State) { s.Hier.DTLB.Next = len(s.Hier.DTLB.Entries) }, "DTLB: index"},
+		{"victim-buffer index", func(s *State) { s.Hier.VB.Next = -1 }, "victim buffer: index"},
+		{"table lengths", func(s *State) { s.Hier.L2.Age = s.Hier.L2.Age[1:] }, "L2: inconsistent"},
+		{"alpha without line predictor", func(s *State) { s.Line = nil }, "without line/way"},
+		{"unknown family", func(s *State) { s.Model = "vax" }, "unknown model family"},
+	} {
+		s := testState()
+		tc.mut(s)
+		if _, err := Encode(s); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Encode error %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -329,7 +421,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !reflect.DeepEqual(s, s2) {
+		if !sameState(s, s2) {
 			t.Fatal("re-decode mismatch")
 		}
 	})

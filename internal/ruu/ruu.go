@@ -299,14 +299,14 @@ type sim struct {
 	lastWriter  [2][isa.NumRegs]uint64
 	readyByInum [4096]uint64
 
-	// Scan accelerators, mirroring the alpha model: entries dispatch in
-	// program order, so the oldest unmapped entry is always at mapInum;
-	// everything older than issueBase has issued; wakeAt is the
-	// earliest outstanding completion, gating the resolution scan; and
-	// issueIdleUntil lets the issue scan sleep when a full pass proved
-	// nothing can become eligible before a known cycle. outstanding
-	// counts issued-but-unresolved entries so the resolution scan can
-	// stop early.
+	// Scan accelerators: entries dispatch in program order, so the
+	// oldest unmapped entry is always at mapInum; everything older
+	// than issueBase has issued; wakeAt is the earliest outstanding
+	// completion, gating the resolution scan; and issueIdleUntil lets
+	// the issue scan sleep when a full pass proved nothing can become
+	// eligible before a known cycle. outstanding counts
+	// issued-but-unresolved entries so the resolution scan can stop
+	// early.
 	mapInum        uint64
 	issueBase      uint64
 	wakeAt         uint64
