@@ -34,35 +34,45 @@ type pinCell struct {
 // slot that frees the cycle after issue, one that outlasts a DRAM
 // miss (so slots free at retirement), a zero-latency D-cache hit (a
 // load's consumer can issue in the load's own cycle) and the
-// smallest ROB.
+// smallest ROB. Then the other kernels on the same workloads:
+// sim-outorder, sim-inorder and sim-interval, the 8-way RUU machine,
+// and sim-outorder with Table 5's 40 rename registers and with a
+// zero-latency D-cache hit (a load completes in its issue cycle).
 func pinCells() []pinCell {
 	var cells []pinCell
-	workloads := []string{"gcc", "equake", "art"}
-	for _, name := range []string{"sim-alpha", "sim-stripped", "sim-initial", "native-ds10l", "sim-alpha-ddr"} {
-		d, err := ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		for _, w := range workloads {
-			cells = append(cells, pinCell{name, d.Config, w})
+	add := func(label string, cfg any) {
+		for _, w := range []string{"gcc", "equake", "art"} {
+			cells = append(cells, pinCell{label, cfg, w})
 		}
 	}
-	edges := []struct {
-		label string
-		set   func(*AlphaConfig)
-	}{
-		{"lag0", func(c *AlphaConfig) { c.QueueFreeLag = 0 }},
-		{"lag400", func(c *AlphaConfig) { c.QueueFreeLag = 400 }},
-		{"l1dhit0", func(c *AlphaConfig) { c.Hier.L1D.HitLatency = 0 }},
-		{"rob8", func(c *AlphaConfig) { c.ROB = 2 * c.FetchWidth }},
+	registered := func(names ...string) {
+		for _, name := range names {
+			d, err := ByName(name)
+			if err != nil {
+				panic(err)
+			}
+			add(name, d.Config)
+		}
 	}
-	for _, e := range edges {
+	alpha := func(set func(*AlphaConfig)) AlphaConfig {
 		cfg := DefaultAlphaConfig()
-		e.set(&cfg)
-		for _, w := range workloads {
-			cells = append(cells, pinCell{"sim-alpha/" + e.label, cfg, w})
-		}
+		set(&cfg)
+		return cfg
 	}
+	outorder := func(set func(*RUUConfig)) RUUConfig {
+		cfg := DefaultRUUConfig()
+		set(&cfg)
+		return cfg
+	}
+	registered("sim-alpha", "sim-stripped", "sim-initial", "native-ds10l", "sim-alpha-ddr")
+	add("sim-alpha/lag0", alpha(func(c *AlphaConfig) { c.QueueFreeLag = 0 }))
+	add("sim-alpha/lag400", alpha(func(c *AlphaConfig) { c.QueueFreeLag = 400 }))
+	add("sim-alpha/l1dhit0", alpha(func(c *AlphaConfig) { c.Hier.L1D.HitLatency = 0 }))
+	add("sim-alpha/rob8", alpha(func(c *AlphaConfig) { c.ROB = 2 * c.FetchWidth }))
+	registered("sim-outorder", "sim-inorder", "sim-interval")
+	add("abstract-8way", EightWideRUUConfig())
+	add("sim-outorder/regs40", outorder(func(c *RUUConfig) { c.RenameRegs = 40 }))
+	add("sim-outorder/l1dhit0", outorder(func(c *RUUConfig) { c.Hier.L1D.HitLatency = 0 }))
 	return cells
 }
 
@@ -79,10 +89,12 @@ func pinLine(c pinCell, r core.RunResult) string {
 		c.label, c.workload, r.Instructions, r.Cycles, sum[:8])
 }
 
-// TestAlphaKernelResultsPinned pins every 21264-family backend's
-// results at 100k instructions. The experiment goldens run 15k-cell
-// budgets and the full-length check is opt-in (GOLDEN_FULL=1), so
-// this is the tier-1 guard on the scheduling kernel past short runs.
+// TestAlphaKernelResultsPinned pins every cycle-level kernel's
+// results at 100k instructions: the 21264 family's, then
+// sim-outorder's, sim-inorder's and sim-interval's. The experiment
+// goldens run 15k-cell budgets and the full-length check is opt-in
+// (GOLDEN_FULL=1), so this is the tier-1 guard on the timing kernels
+// past short runs.
 // Re-bless a deliberate timing change with
 //
 //	go test ./internal/model -run TestAlphaKernelResultsPinned -update
@@ -119,6 +131,6 @@ func TestAlphaKernelResultsPinned(t *testing.T) {
 		t.Fatalf("missing golden (run with -update to bless): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("21264 kernel results drifted from testdata/kernel_pins.golden\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Errorf("kernel results drifted from testdata/kernel_pins.golden\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
