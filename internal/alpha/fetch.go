@@ -6,40 +6,10 @@ import (
 	"repro/internal/isa"
 )
 
-// pendCap sizes the fetch lookahead ring. The front end never looks
-// further ahead than this many records, whatever the fetch width.
-const pendCap = 8
-
 // unopsThroughIssue reports whether unops consume issue slots: either
 // the sim-initial bug, or the eret feature being removed.
 func (s *sim) unopsThroughIssue() bool {
 	return s.cfg.Bugs.UnopsConsumeIssue || !s.cfg.Feat.EarlyRetire
-}
-
-// fill tops up the fetch lookahead ring from the dynamic stream.
-func (s *sim) fill() {
-	for !s.srcDone && s.pendLen < pendCap {
-		rec, ok := s.src.Next()
-		if !ok {
-			s.srcDone = true
-			return
-		}
-		i := s.pendHead + s.pendLen
-		if i >= pendCap {
-			i -= pendCap
-		}
-		s.pend[i] = rec
-		s.pendLen++
-	}
-}
-
-// pendAt returns the i-th lookahead record (0 = oldest).
-func (s *sim) pendAt(i int) *cpu.Record {
-	i += s.pendHead
-	if i >= pendCap {
-		i -= pendCap
-	}
-	return &s.pend[i]
 }
 
 // fetch models the 21264 front end for one cycle: octaword-aligned
@@ -52,8 +22,8 @@ func (s *sim) fetch() {
 	if s.waitBranch != 0 || s.cycle < s.fetchBlockedUntil {
 		return
 	}
-	s.fill()
-	if s.pendLen == 0 {
+	s.ahead.Fill(s.src)
+	if s.ahead.Len() == 0 {
 		return
 	}
 	// Room for a full packet in the combined fetch/reorder window.
@@ -64,12 +34,12 @@ func (s *sim) fetch() {
 	// Build the aligned fetch packet: consecutive sequential records
 	// within one octaword, ending at the first taken branch. The
 	// packet is the first n lookahead records.
-	first := s.pendAt(0)
+	first := s.ahead.At(0)
 	base := first.PC &^ 15
 	n := 1
-	for n < s.cfg.FetchWidth && n < s.pendLen {
-		prev := s.pendAt(n - 1)
-		next := s.pendAt(n)
+	for n < s.cfg.FetchWidth && n < s.ahead.Len() {
+		prev := s.ahead.At(n - 1)
+		next := s.ahead.At(n)
 		if prev.IsBranch() && prev.Taken {
 			break
 		}
@@ -125,7 +95,7 @@ func (s *sim) fetch() {
 	specHist := s.cfg.Feat.SpecUpdate && !s.cfg.Bugs.NoSpecUpdate
 	var mispredictIdx = -1
 	for i := 0; i < n; i++ {
-		rec := s.pendAt(i)
+		rec := s.ahead.At(i)
 		if rec.Inst.Op.Class() != isa.ClassCondBr {
 			continue
 		}
@@ -138,7 +108,7 @@ func (s *sim) fetch() {
 		}
 	}
 
-	last := s.pendAt(n - 1)
+	last := s.ahead.At(n - 1)
 	actualNext := last.NextPC
 	if !(last.IsBranch() && last.Taken) {
 		actualNext = last.PC + isa.WordBytes
@@ -150,9 +120,9 @@ func (s *sim) fetch() {
 	// any RAS operation is still unresolved.
 	rasStale := false
 	for i := 0; i < n; i++ {
-		switch s.pendAt(i).Inst.Op {
+		switch s.ahead.At(i).Inst.Op {
 		case isa.OpBsr, isa.OpJsr:
-			s.ras.Push(s.pendAt(i).PC + isa.WordBytes)
+			s.ras.Push(s.ahead.At(i).PC + isa.WordBytes)
 		case isa.OpRet:
 			if s.inflightRASOps > 0 && !specHist {
 				rasStale = true
@@ -233,7 +203,7 @@ func (s *sim) fetch() {
 
 	// Allocate entries.
 	for i := 0; i < n; i++ {
-		rec := s.pendAt(i)
+		rec := s.ahead.At(i)
 		e := s.alloc(rec)
 		e.availAt = deliverAt
 		e.fetchMiss = !ires.L1Hit
@@ -252,11 +222,7 @@ func (s *sim) fetch() {
 			e.lineTrainTo = actualNext
 		}
 	}
-	s.pendHead += n
-	if s.pendHead >= pendCap {
-		s.pendHead -= pendCap
-	}
-	s.pendLen -= n
+	s.ahead.Take(n)
 
 	nextFetchAt += bubble
 	if bubble > 0 && fetchWhy == events.CompFrontend {

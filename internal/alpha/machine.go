@@ -124,12 +124,9 @@ type sim struct {
 	luse *predict.LoadUse
 	stwt *predict.StoreWait
 
-	// pend is the fetched-from-stream lookahead, a small ring so the
-	// steady-state fetch path allocates nothing.
-	pend     [pendCap]cpu.Record
-	pendHead int
-	pendLen  int
-	srcDone  bool
+	// ahead is the fetch lookahead, eight records: the front end never
+	// looks further ahead, whatever the fetch width.
+	ahead cpu.Lookahead
 
 	rob      []entry
 	head     int
@@ -228,6 +225,7 @@ func newSim(cfg Config, tracer PipeTracer) *sim {
 		ras:      predict.NewRAS(cfg.RASEntries),
 		luse:     predict.NewLoadUse(),
 		stwt:     predict.NewStoreWait(),
+		ahead:    cpu.NewLookahead(8),
 		rob:      make([]entry, cfg.ROB),
 		ready:    make([]uint64, (cfg.ROB+63)/64),
 		uses:     make([]int32, 3*cfg.ROB),
@@ -445,7 +443,7 @@ func (s *sim) run() error {
 	const stuckLimit = 1 << 20
 	lastRetired, lastProgress := uint64(0), uint64(0)
 	for {
-		if s.count == 0 && s.srcDone && s.pendLen == 0 {
+		if s.count == 0 && s.ahead.Drained() {
 			return nil
 		}
 		before := s.retired
@@ -670,35 +668,6 @@ func (s *sim) srcsReadyAt(e *entry, cluster int8) uint64 {
 	return latest
 }
 
-// execLatency returns the Table 1 execution latency for a class.
-func (s *sim) execLatency(cls isa.Class) int {
-	switch cls {
-	case isa.ClassIntALU:
-		return 1
-	case isa.ClassIntMul:
-		return 7
-	case isa.ClassFPAdd, isa.ClassFPMul:
-		return 4
-	case isa.ClassFPDivS:
-		return 12
-	case isa.ClassFPDivT:
-		return 15
-	case isa.ClassFPSqrtS:
-		return 18
-	case isa.ClassFPSqrtT:
-		return 33
-	case isa.ClassCondBr:
-		return 1
-	case isa.ClassUncondBr:
-		return 1
-	case isa.ClassJump:
-		return 3
-	case isa.ClassIntStore, isa.ClassFPStore:
-		return 1
-	}
-	return 1
-}
-
 // olderStoreUnresolved reports whether any older store has not yet
 // resolved its address.
 func (s *sim) olderStoreUnresolved(e *entry) bool {
@@ -812,7 +781,7 @@ func (s *sim) issue() {
 				deferUntil(ready)
 				continue
 			}
-			lat := s.execLatency(e.cls)
+			lat := e.cls.Latency()
 			switch e.cls {
 			case isa.ClassFPMul:
 				if fpMulUsed {
@@ -879,7 +848,7 @@ func (s *sim) issue() {
 		pipeUsed[cluster][b2i(e.slotUpper)] = true
 		intLeft--
 		issuedAny = true
-		s.start(e, cluster, s.execLatency(e.cls))
+		s.start(e, cluster, e.cls.Latency())
 	}
 	if !issuedAny && !noSkip {
 		s.issueIdleUntil = idleUntil
@@ -1036,20 +1005,13 @@ func (s *sim) issueMem(e *entry, cluster int8) {
 	if res.TLBMiss {
 		s.col.Count(events.TLBMisses, 1)
 	}
-	if !res.L1Hit && !res.VBHit {
-		s.col.Count(events.DCacheMisses, 1)
-		if !res.L2Hit {
-			s.col.Count(events.L2Misses, 1)
-		}
-	}
 	// Remember where a load's data came from so head-of-window stall
 	// cycles can be charged to the right hierarchy level.
+	comp, miss := res.Miss(&s.col)
 	if e.isLoad {
 		switch {
-		case !res.L1Hit && !res.VBHit && !res.L2Hit:
-			e.memMiss, e.memComp = true, events.CompL2
-		case !res.L1Hit && !res.VBHit:
-			e.memMiss, e.memComp = true, events.CompDCache
+		case miss:
+			e.memMiss, e.memComp = true, comp
 		case res.TLBMiss:
 			e.memMiss, e.memComp = true, events.CompDRAM
 		}

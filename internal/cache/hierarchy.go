@@ -84,6 +84,22 @@ type Result struct {
 	PAddr      uint64
 }
 
+// Miss counts a data access's L1 D-cache and L2 misses in col. For a
+// miss it returns the CPI-stack component a load waiting on the data
+// stalls in: CompDCache when the L2 served it, CompL2 when DRAM did.
+// An L1 or victim-buffer hit counts nothing and returns false.
+func (r Result) Miss(col *events.Collector) (events.Component, bool) {
+	if r.L1Hit || r.VBHit {
+		return events.CompBase, false
+	}
+	col.Count(events.DCacheMisses, 1)
+	if r.L2Hit {
+		return events.CompDCache, true
+	}
+	col.Count(events.L2Misses, 1)
+	return events.CompL2, true
+}
+
 // Hierarchy composes the caches, victim buffer, MAFs, TLBs, DRAM and
 // the inter-level buses of one machine's memory system.
 type Hierarchy struct {

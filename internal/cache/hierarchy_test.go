@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/events"
 	"repro/internal/vm"
 )
 
@@ -202,5 +203,34 @@ func TestStoreMarksDirtyCausingWriteback(t *testing.T) {
 	}
 	if h.L1D.Stats.Writebacks == 0 {
 		t.Error("no writebacks recorded after dirty eviction chain")
+	}
+}
+
+// TestResultMiss pins the one miss tally every kernel uses: an L1 or
+// victim-buffer hit counts nothing, an L1 miss counts one D-cache miss
+// and stalls a load in dcache, and an L2 miss also counts one L2 miss
+// and stalls it in l2.
+func TestResultMiss(t *testing.T) {
+	cases := []struct {
+		name       string
+		r          Result
+		comp       events.Component
+		miss       bool
+		dcache, l2 uint64
+	}{
+		{"l1 hit", Result{L1Hit: true}, events.CompBase, false, 0, 0},
+		{"victim hit", Result{VBHit: true}, events.CompBase, false, 0, 0},
+		{"l2 hit", Result{L2Hit: true}, events.CompDCache, true, 1, 0},
+		{"l2 miss", Result{}, events.CompL2, true, 1, 1},
+	}
+	for _, c := range cases {
+		var col events.Collector
+		comp, miss := c.r.Miss(&col)
+		if comp != c.comp || miss != c.miss {
+			t.Errorf("%s: Miss = %v, %v; want %v, %v", c.name, comp.Name(), miss, c.comp.Name(), c.miss)
+		}
+		if d, l := col.Get(events.DCacheMisses), col.Get(events.L2Misses); d != c.dcache || l != c.l2 {
+			t.Errorf("%s: counted %d D-cache and %d L2 misses, want %d and %d", c.name, d, l, c.dcache, c.l2)
+		}
 	}
 }

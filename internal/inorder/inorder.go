@@ -162,17 +162,11 @@ func (k *kernel) Time(src cpu.Source, cur *core.SampleCursor) (uint64, uint64, *
 			}
 		}
 
-		lat := latency(rec.Inst.Op.Class())
+		lat := rec.Inst.Op.Class().Latency()
 		switch {
 		case rec.Inst.Op.Class().IsLoad():
 			res := hier.Data(rec.EA, false, cycle)
-			if !res.L1Hit && !res.VBHit {
-				col.Count(events.DCacheMisses, 1)
-				comp := events.CompDCache
-				if !res.L2Hit {
-					col.Count(events.L2Misses, 1)
-					comp = events.CompL2
-				}
+			if comp, miss := res.Miss(col); miss {
 				// Blocking cache: the whole pipeline waits.
 				col.Attribute(comp, uint64(res.Latency+res.WalkCycles)-1)
 				cycle += uint64(res.Latency+res.WalkCycles) - 1
@@ -213,22 +207,4 @@ func (k *kernel) Time(src cpu.Source, cur *core.SampleCursor) (uint64, uint64, *
 		return 0, 0, nil, fmt.Errorf("inorder: empty instruction stream")
 	}
 	return cycle, retired, col, nil
-}
-
-func latency(cls isa.Class) int {
-	switch cls {
-	case isa.ClassIntMul:
-		return 7
-	case isa.ClassFPAdd, isa.ClassFPMul:
-		return 4
-	case isa.ClassFPDivS:
-		return 12
-	case isa.ClassFPDivT:
-		return 15
-	case isa.ClassFPSqrtS:
-		return 18
-	case isa.ClassFPSqrtT:
-		return 33
-	}
-	return 1
 }

@@ -201,17 +201,15 @@ func (c Config) Run(w core.Workload) (core.RunResult, error) {
 		switch {
 		case rec.Inst.Op.Class().IsLoad():
 			res := hier.Data(rec.EA, false, now)
-			if !res.L1Hit && !res.VBHit {
-				col.Count(events.DCacheMisses, 1)
+			if comp, miss := res.Miss(&col); miss {
 				pen := uint64(res.Latency + res.WalkCycles)
-				if res.L2Hit {
+				if comp == events.CompDCache {
 					if p := pen / uint64(c.L2Overlap); p > 0 {
 						dcPen += p
 					} else {
 						dcPen++ // a counted miss always costs a cycle
 					}
 				} else {
-					col.Count(events.L2Misses, 1)
 					// Queue waits overlap like the rest of the long
 					// miss, but are attributed to the controller.
 					if dq := qwDelta(); dq > 0 {

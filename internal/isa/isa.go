@@ -154,6 +154,31 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
+// Latency returns the class's execution latency in cycles as Table 1
+// gives it for the 21264: from issue until a dependent instruction
+// can use the result. A load's figure is its D-cache hit; a timing
+// model prices each actual access through its cache hierarchy
+// instead. No-ops, stores and PC-relative branches take one cycle.
+func (c Class) Latency() int {
+	switch c {
+	case ClassIntMul:
+		return 7
+	case ClassIntLoad, ClassJump:
+		return 3
+	case ClassFPAdd, ClassFPMul, ClassFPLoad:
+		return 4
+	case ClassFPDivS:
+		return 12
+	case ClassFPDivT:
+		return 15
+	case ClassFPSqrtS:
+		return 18
+	case ClassFPSqrtT:
+		return 33
+	}
+	return 1
+}
+
 // IsLoad reports whether the class reads data memory.
 func (c Class) IsLoad() bool { return c == ClassIntLoad || c == ClassFPLoad }
 

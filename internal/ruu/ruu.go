@@ -203,15 +203,13 @@ type entry struct {
 	srcs    [3]uint64
 	nsrc    int
 
-	availAt      uint64
-	mapped       bool
-	mapAt        uint64
-	issued       bool
-	readyAt      uint64
-	doneAt       uint64
-	resolved     bool
-	mispredicted bool
-	isMem        bool
+	availAt uint64
+	mapped  bool
+	mapAt   uint64
+	issued  bool
+	readyAt uint64
+	doneAt  uint64
+	isMem   bool
 
 	// CPI-stack attribution.
 	fetchMiss bool             // delivered by a fetch that missed the I-cache
@@ -284,12 +282,8 @@ type sim struct {
 	btb    *btb
 	ras    *predict.RAS
 
-	// pend is the fetched-from-stream lookahead, a fixed ring sized at
-	// construction so the steady-state fetch path allocates nothing.
-	pend     []cpu.Record
-	pendHead int
-	pendLen  int
-	srcDone  bool
+	// ahead is the fetch lookahead, two fetch packets deep.
+	ahead cpu.Lookahead
 
 	rob         []entry
 	head        int
@@ -301,17 +295,12 @@ type sim struct {
 
 	// Scan accelerators: entries dispatch in program order, so the
 	// oldest unmapped entry is always at mapInum; everything older
-	// than issueBase has issued; wakeAt is the earliest outstanding
-	// completion, gating the resolution scan; and issueIdleUntil lets
-	// the issue scan sleep when a full pass proved nothing can become
-	// eligible before a known cycle. outstanding counts
-	// issued-but-unresolved entries so the resolution scan can stop
-	// early.
+	// than issueBase has issued; and issueIdleUntil lets the issue
+	// scan sleep when a full pass proved nothing can become eligible
+	// before a known cycle.
 	mapInum        uint64
 	issueBase      uint64
-	wakeAt         uint64
 	issueIdleUntil uint64
-	outstanding    int
 
 	lsqCount    int
 	intInFlight int
@@ -321,7 +310,7 @@ type sim struct {
 	retired uint64
 
 	fetchBlockedUntil uint64
-	waitBranch        uint64
+	waitBranch        uint64 // inum of the mispredicted branch fetch waits on; 0 = none
 	fpDivBusyUntil    uint64
 
 	// col accumulates typed event counts and CPI-stack attribution
@@ -344,13 +333,12 @@ func newSim(cfg Config) *sim {
 		gshare:    make([]predict.SatCounter, 1<<cfg.GShareBits),
 		btb:       newBTB(cfg.BTBSets, cfg.BTBAssoc),
 		ras:       predict.NewRAS(cfg.RASEntries),
-		pend:      make([]cpu.Record, 2*cfg.FetchWidth),
+		ahead:     cpu.NewLookahead(2 * cfg.FetchWidth),
 		rob:       make([]entry, cfg.RUUSize),
 		nextInum:  1,
 		headInum:  1,
 		mapInum:   1,
 		issueBase: 1,
-		wakeAt:    noWake,
 		warmLine:  1 << 63,
 	}
 	for i := range s.gshare {
@@ -384,9 +372,6 @@ func (s *sim) inFlight(inum uint64) bool {
 	return inum >= s.headInum && inum < s.headInum+uint64(s.count)
 }
 
-// noWake is wakeAt's idle value: no completion pending.
-const noWake = ^uint64(0)
-
 // idx maps an offset from the window head to a slot index; offsets
 // are always < len(rob), so a conditional subtract replaces modulo.
 func (s *sim) idx(off int) int {
@@ -395,13 +380,6 @@ func (s *sim) idx(off int) int {
 		off -= n
 	}
 	return off
-}
-
-// schedule lowers the wake time to t if it is earlier.
-func (s *sim) schedule(t uint64) {
-	if t < s.wakeAt {
-		s.wakeAt = t
-	}
 }
 
 func (s *sim) at(inum uint64) *entry {
@@ -422,7 +400,7 @@ func (s *sim) Time(src cpu.Source, cur *core.SampleCursor) (uint64, uint64, *eve
 func (s *sim) run() error {
 	const cycleCap = 1 << 34
 	for {
-		if s.count == 0 && s.srcDone && s.pendLen == 0 {
+		if s.count == 0 && s.ahead.Drained() {
 			return nil
 		}
 		before := s.retired
@@ -507,40 +485,20 @@ func (s *sim) producerMemStall(e *entry) (events.Component, bool) {
 }
 
 func (s *sim) commit() {
-	// Resolve completions. Completion times are fixed at issue, so the
-	// scan sleeps until the earliest of them (wakeAt) and stops once
-	// every outstanding entry has been seen.
-	if s.cycle >= s.wakeAt {
-		next := uint64(noWake)
-		rem := s.outstanding
-		ix := s.head
-		for i := 0; i < s.count && rem > 0; i++ {
-			e := &s.rob[ix]
-			if ix++; ix == len(s.rob) {
-				ix = 0
-			}
-			if !e.issued || e.resolved {
-				continue
-			}
-			rem--
-			if s.cycle >= e.doneAt {
-				e.resolved = true
-				s.outstanding--
-				if e.mispredicted && s.waitBranch == e.inum {
-					s.blockFetch(e.doneAt+uint64(s.cfg.BrPenalty), events.CompBranch)
-					s.waitBranch = 0
-				}
-			} else if e.doneAt < next {
-				next = e.doneAt
-			}
+	// Completion times are fixed at issue, and the one completion with
+	// a consequence is the mispredicted branch fetch waits on: once it
+	// completes, fetch restarts after the recovery penalty.
+	if s.waitBranch != 0 {
+		if e := s.at(s.waitBranch); e.issued && s.cycle >= e.doneAt {
+			s.blockFetch(e.doneAt+uint64(s.cfg.BrPenalty), events.CompBranch)
+			s.waitBranch = 0
 		}
-		s.wakeAt = next
 	}
 	// In-order commit.
 	n := 0
 	for s.count > 0 && n < s.cfg.CommitWidth {
 		e := &s.rob[s.head]
-		if !e.resolved || s.cycle < e.doneAt {
+		if !e.issued || s.cycle < e.doneAt {
 			break
 		}
 		if e.isMem {
@@ -597,29 +555,6 @@ func (s *sim) srcsReadyAt(e *entry) (uint64, bool) {
 	return latest, true
 }
 
-func latency(cls isa.Class) int {
-	switch cls {
-	case isa.ClassIntALU, isa.ClassCondBr, isa.ClassUncondBr,
-		isa.ClassIntStore, isa.ClassFPStore:
-		return 1
-	case isa.ClassIntMul:
-		return 7
-	case isa.ClassFPAdd, isa.ClassFPMul:
-		return 4
-	case isa.ClassFPDivS:
-		return 12
-	case isa.ClassFPDivT:
-		return 15
-	case isa.ClassFPSqrtS:
-		return 18
-	case isa.ClassFPSqrtT:
-		return 33
-	case isa.ClassJump:
-		return 1 // no deep front end to restart
-	}
-	return 1
-}
-
 func (s *sim) issue() {
 	if s.cycle < s.issueIdleUntil {
 		return
@@ -650,7 +585,7 @@ func (s *sim) issue() {
 	// wake time pin the scan awake.
 	issuedAny := false
 	noSkip := false
-	idleUntil := uint64(noWake)
+	idleUntil := ^uint64(0)
 	deferUntil := func(t uint64) {
 		if t < idleUntil {
 			idleUntil = t
@@ -677,7 +612,10 @@ func (s *sim) issue() {
 			}
 			continue
 		}
-		lat := latency(e.cls)
+		lat := e.cls.Latency()
+		if e.cls == isa.ClassJump {
+			lat = 1 // no deep front end to restart
+		}
 		switch {
 		case e.cls.IsMem():
 			if mem == 0 {
@@ -686,18 +624,8 @@ func (s *sim) issue() {
 			}
 			mem--
 			res := s.hier.Data(e.rec.EA, e.cls.IsStore(), s.cycle)
-			if !res.L1Hit && !res.VBHit {
-				s.col.Count(events.DCacheMisses, 1)
-				if !res.L2Hit {
-					s.col.Count(events.L2Misses, 1)
-				}
-				if e.cls.IsLoad() {
-					e.memMiss = true
-					e.memComp = events.CompDCache
-					if !res.L2Hit {
-						e.memComp = events.CompL2
-					}
-				}
+			if comp, miss := res.Miss(&s.col); miss && e.cls.IsLoad() {
+				e.memMiss, e.memComp = true, comp
 			}
 			lat = res.Latency + res.WalkCycles
 			if e.cls.IsStore() {
@@ -742,11 +670,9 @@ func (s *sim) issue() {
 		left--
 		issuedAny = true
 		e.issued = true
-		s.outstanding++
 		e.readyAt = s.cycle + uint64(lat)
 		e.doneAt = e.readyAt
 		s.readyByInum[e.inum%uint64(len(s.readyByInum))] = e.readyAt
-		s.schedule(e.doneAt)
 	}
 	if !issuedAny && !noSkip {
 		s.issueIdleUntil = idleUntil
@@ -793,44 +719,18 @@ func (s *sim) dispatch() {
 			// sim-outorder treats no-ops as single-cycle ALU ops; they
 			// retire without occupying function units.
 			e.issued = true
-			e.resolved = true
 			e.readyAt = s.cycle + 1
 			e.doneAt = s.cycle + 1
 		}
 	}
 }
 
-func (s *sim) fill() {
-	for !s.srcDone && s.pendLen < len(s.pend) {
-		rec, ok := s.src.Next()
-		if !ok {
-			s.srcDone = true
-			return
-		}
-		i := s.pendHead + s.pendLen
-		if i >= len(s.pend) {
-			i -= len(s.pend)
-		}
-		s.pend[i] = rec
-		s.pendLen++
-	}
-}
-
-// pendAt returns the i-th lookahead record (0 = oldest).
-func (s *sim) pendAt(i int) *cpu.Record {
-	i += s.pendHead
-	if i >= len(s.pend) {
-		i -= len(s.pend)
-	}
-	return &s.pend[i]
-}
-
 func (s *sim) fetch() {
 	if s.waitBranch != 0 || s.cycle < s.fetchBlockedUntil {
 		return
 	}
-	s.fill()
-	if s.pendLen == 0 {
+	s.ahead.Fill(s.src)
+	if s.ahead.Len() == 0 {
 		return
 	}
 	if s.count+s.cfg.FetchWidth > len(s.rob) {
@@ -840,18 +740,18 @@ func (s *sim) fetch() {
 	// redirect per cycle through the BTB). The packet is carved out of
 	// the lookahead ring in place.
 	n := 1
-	for n < s.cfg.FetchWidth && n < s.pendLen {
-		prev := s.pendAt(n - 1)
+	for n < s.cfg.FetchWidth && n < s.ahead.Len() {
+		prev := s.ahead.At(n - 1)
 		if prev.IsBranch() && prev.Taken {
 			break
 		}
-		if s.pendAt(n).PC != prev.PC+isa.WordBytes {
+		if s.ahead.At(n).PC != prev.PC+isa.WordBytes {
 			break
 		}
 		n++
 	}
 
-	ires, _, _ := s.hier.Inst(s.pendAt(0).PC, s.cycle)
+	ires, _, _ := s.hier.Inst(s.ahead.At(0).PC, s.cycle)
 	deliverAt := s.cycle + 1
 	nextFetchAt := s.cycle + 1
 	fetchWhy := events.CompFrontend
@@ -865,7 +765,7 @@ func (s *sim) fetch() {
 	var bubble uint64
 	mispredictIdx := -1
 	for i := 0; i < n; i++ {
-		rec := s.pendAt(i)
+		rec := s.ahead.At(i)
 		op := rec.Inst.Op
 		cls := op.Class()
 		if !cls.IsBranch() {
@@ -923,7 +823,7 @@ func (s *sim) fetch() {
 
 	allocated := 0
 	for i := 0; i < n; i++ {
-		rec := s.pendAt(i)
+		rec := s.ahead.At(i)
 		e := s.alloc(rec)
 		e.availAt = deliverAt
 		e.fetchMiss = !ires.L1Hit
@@ -931,17 +831,12 @@ func (s *sim) fetch() {
 		if i == mispredictIdx {
 			// Fetch stops at the mispredicted branch; the rest of the
 			// packet stays pending and refetches after recovery.
-			e.mispredicted = true
 			s.waitBranch = e.inum
 			s.col.Count(events.BrMispredicts, 1)
 			break
 		}
 	}
-	s.pendHead += allocated
-	if s.pendHead >= len(s.pend) {
-		s.pendHead -= len(s.pend)
-	}
-	s.pendLen -= allocated
+	s.ahead.Take(allocated)
 	nextFetchAt += bubble
 	if bubble > 0 && fetchWhy == events.CompFrontend {
 		// BTB-miss redirect bubbles are control recovery.
