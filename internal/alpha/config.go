@@ -12,6 +12,8 @@
 package alpha
 
 import (
+	"fmt"
+
 	"repro/internal/bounds"
 	"repro/internal/cache"
 	"repro/internal/ddr"
@@ -196,7 +198,7 @@ type Config struct {
 	// Issue/memory penalties.
 	LoadUseRecovery int // squash window after a mispredicted load-use (2)
 	TrapPenalty     int // replay trap: re-dispatch from map (14)
-	TrapGranule     int // address granularity for conflict detection (bytes)
+	TrapGranule     int // address granularity for conflict detection (bytes, a power of two)
 	PALOverhead     int // PAL-code entry/exit cost on native TLB misses
 
 	// Register file experiments (Figure 2).
@@ -234,12 +236,15 @@ func (c Config) Check() error {
 		bounds.Int{Name: "WayMispredict", V: c.WayMispredict, Lo: 0, Hi: bounds.MaxCycles},
 		bounds.Int{Name: "LoadUseRecovery", V: c.LoadUseRecovery, Lo: 0, Hi: bounds.MaxCycles},
 		bounds.Int{Name: "TrapPenalty", V: c.TrapPenalty, Lo: 0, Hi: bounds.MaxCycles},
-		bounds.Int{Name: "TrapGranule", V: c.TrapGranule, Lo: 0, Hi: bounds.MaxCycles},
+		bounds.Int{Name: "TrapGranule", V: c.TrapGranule, Lo: 1, Hi: 4096},
 		bounds.Int{Name: "PALOverhead", V: c.PALOverhead, Lo: 0, Hi: bounds.MaxCycles},
 		bounds.Int{Name: "RFReadCycles", V: c.RFReadCycles, Lo: 1, Hi: 64},
 		bounds.Int{Name: "RASEntries", V: c.RASEntries, Lo: 1, Hi: 1024},
 	); err != nil {
 		return err
+	}
+	if !bounds.Pow2(c.TrapGranule) {
+		return fmt.Errorf("alpha: TrapGranule %d is not a power of two (it masks addresses)", c.TrapGranule)
 	}
 	if err := c.Hier.Check(); err != nil {
 		return err

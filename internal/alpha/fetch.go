@@ -297,9 +297,6 @@ func (s *sim) alloc(rec *cpu.Record) *entry {
 		if s.cfg.Bugs.CoarseTrapCompare {
 			g = 32
 		}
-		if g == 0 {
-			g = 8
-		}
 		e.granule = rec.EA &^ (g - 1)
 	}
 	return e

@@ -348,6 +348,9 @@ func TestConfigCheck(t *testing.T) {
 		func(c *Config) { c.Hier.DTLBEntries = 0 },
 		func(c *Config) { c.DRAM.Banks = 1 << 40 },
 		func(c *Config) { c.DDR.TCL = 4 }, // a partial DDR config fails ddr's Check
+		// TrapGranule masks addresses, so it must be a power of two.
+		func(c *Config) { c.TrapGranule = 0 },
+		func(c *Config) { c.TrapGranule = 12 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
