@@ -28,7 +28,7 @@ import (
 var StabilityOptimizations = []string{
 	"3 to 1-cycle L1 D$",
 	"64KB to 128KB L1 D$",
-	"1MB to 2MB L2",
+	"2MB to 4MB L2",
 	"40 to 80 physical regs",
 	"longer bpred history",
 }
