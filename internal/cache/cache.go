@@ -187,19 +187,6 @@ func (c *Cache) Insert(paddr uint64, dirty bool) (victim uint64, victimOK, victi
 	return victim, victimOK, victimDirty
 }
 
-// Invalidate drops the block containing paddr if present.
-func (c *Cache) Invalidate(paddr uint64) {
-	set := c.Set(paddr)
-	tag := c.Block(paddr)
-	for w := 0; w < c.cfg.Assoc; w++ {
-		s := c.slot(set, w)
-		if c.valid[s] && c.tags[s] == tag {
-			c.valid[s] = false
-			return
-		}
-	}
-}
-
 // Reset empties the cache and clears statistics.
 func (c *Cache) Reset() {
 	for i := range c.valid {
@@ -329,15 +316,4 @@ func (m *MAF) Full(now uint64) (bool, uint64) {
 		}
 	}
 	return true, earliest
-}
-
-// Outstanding returns the number of in-flight misses at now.
-func (m *MAF) Outstanding(now uint64) int {
-	n := 0
-	for i := range m.blocks {
-		if m.fillAt[i] > now {
-			n++
-		}
-	}
-	return n
 }

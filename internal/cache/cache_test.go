@@ -78,15 +78,6 @@ func TestCacheInsertResident(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := New(small())
-	c.Insert(0x200, false)
-	c.Invalidate(0x200)
-	if hit, _ := c.Peek(0x200); hit {
-		t.Fatal("invalidated block still resident")
-	}
-}
-
 func TestCacheStatsAndMissRate(t *testing.T) {
 	c := New(small())
 	c.Probe(0, false)
@@ -192,8 +183,5 @@ func TestMAFFull(t *testing.T) {
 	// After the earliest fill completes, allocation succeeds.
 	if _, ok := m.Allocate(0x080, 100, 300); !ok {
 		t.Fatal("allocate failed after entry freed")
-	}
-	if m.Outstanding(150) != 2 {
-		t.Errorf("outstanding = %d, want 2", m.Outstanding(150))
 	}
 }

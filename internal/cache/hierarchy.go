@@ -157,9 +157,6 @@ func NewHierarchy(cfg HierarchyConfig, mapper vm.Mapper, mem Memory) *Hierarchy 
 	return h
 }
 
-// MAFD exposes the data-side miss address file (for trap modeling).
-func (h *Hierarchy) MAFD() *MAF { return h.mafD }
-
 // FoldMemEvents folds the hierarchy-owned tallies — the memory
 // backend's counters and the prefetch total — into a collector by
 // idempotent Set, so the fold can run both mid-run (before a sampling

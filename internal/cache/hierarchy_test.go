@@ -119,8 +119,8 @@ func TestMAFCombiningData(t *testing.T) {
 	if b.Latency >= a.Latency {
 		t.Errorf("combined access latency %d not below original %d", b.Latency, a.Latency)
 	}
-	if h.MAFD().Combines != 1 {
-		t.Errorf("combines = %d, want 1", h.MAFD().Combines)
+	if h.mafD.Combines != 1 {
+		t.Errorf("combines = %d, want 1", h.mafD.Combines)
 	}
 }
 

@@ -476,25 +476,6 @@ func (c *Controller) MinLatency() int {
 // MemStats implements mem.Memory.
 func (c *Controller) MemStats() mem.Stats { return c.stats }
 
-// Reset implements mem.Memory: banks precharged, queues empty,
-// ledgers and reservations cleared, statistics zeroed. The trace hook
-// is kept.
-func (c *Controller) Reset() {
-	for i := range c.banks {
-		b := &c.banks[i]
-		*b = bank{channel: b.channel, rank: b.rank, index: b.index, row: -1, adapt: 2}
-	}
-	for i := range c.ranks {
-		c.ranks[i] = rankState{}
-	}
-	for i := range c.chans {
-		c.chans[i] = channelState{}
-	}
-	c.stats = mem.Stats{}
-	c.maxStarve = 0
-	c.horizon = 0
-}
-
 // place finds the earliest cycle >= lb at which an ACTIVATE may issue
 // on the rank: at least trrd from every ledger entry on either side
 // (insertion between already-scheduled ACTIVATEs must respect both

@@ -342,7 +342,7 @@ func TestAdaptivePolicyTracksTraffic(t *testing.T) {
 	}
 }
 
-func TestDeterminismAndReset(t *testing.T) {
+func TestDeterminism(t *testing.T) {
 	cfg := DS10LDDR()
 	a, b := New(cfg), New(cfg)
 	la, lb := drive(a, 3000, 11), drive(b, 3000, 11)
@@ -353,16 +353,6 @@ func TestDeterminismAndReset(t *testing.T) {
 	}
 	if a.MemStats() != b.MemStats() {
 		t.Fatalf("stats diverge: %+v vs %+v", a.MemStats(), b.MemStats())
-	}
-	a.Reset()
-	if a.MemStats() != (New(cfg).MemStats()) {
-		t.Fatalf("reset left statistics behind: %+v", a.MemStats())
-	}
-	lc := drive(a, 3000, 11)
-	for i := range la {
-		if la[i] != lc[i] {
-			t.Fatalf("post-reset latency %d diverges: %d vs %d", i, la[i], lc[i])
-		}
 	}
 }
 

@@ -186,12 +186,3 @@ func (d *DRAM) MemStats() mem.Stats {
 		BankConflicts: d.Stats.BankWaits,
 	}
 }
-
-// Reset closes all banks and clears statistics.
-func (d *DRAM) Reset() {
-	for i := range d.openRow {
-		d.openRow[i] = -1
-		d.busyAt[i] = 0
-	}
-	d.Stats = Stats{}
-}

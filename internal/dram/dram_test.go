@@ -93,22 +93,6 @@ func TestMinLatency(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	d := New(DS10LConfig())
-	d.Access(0, false, 0)
-	d.Reset()
-	if d.Stats.Accesses != 0 {
-		t.Error("Reset kept stats")
-	}
-	// After reset the row is closed again: empty-page latency.
-	lat := d.Access(0, false, 1_000_000)
-	cfg := d.Config()
-	want := cfg.ControllerCycles + (cfg.RASCycles+cfg.CASCycles+cfg.TransferCycles)*cfg.ClockRatio
-	if lat != want {
-		t.Errorf("post-reset latency = %d, want %d", lat, want)
-	}
-}
-
 // Property: latency is always at least the page-hit minimum and the
 // event counters partition all accesses.
 func TestQuickLatencyBounds(t *testing.T) {

@@ -47,7 +47,4 @@ type Memory interface {
 	MinLatency() int
 	// MemStats returns the backend's accumulated counters.
 	MemStats() Stats
-	// Reset returns the backend to its post-construction state: banks
-	// closed, queues empty, statistics cleared.
-	Reset()
 }

@@ -137,7 +137,7 @@ func DefaultTournamentConfig() TournamentConfig {
 // speculative copy (shifted at prediction time with the predicted
 // outcome) and the retired copy (shifted in program order with actual
 // outcomes). The timing model selects which copy indexes the tables
-// via the spec argument of Predict, and calls FixHistory after a
+// via the spec argument of Predict, and calls RebuildSpec after a
 // misprediction recovery to resynchronize the speculative copy, which
 // is exactly the recovery the paper found the 21264 performs.
 type Tournament struct {
@@ -209,11 +209,6 @@ func (t *Tournament) Predict(pc uint64, spec bool) bool {
 func (t *Tournament) ShiftSpec(taken bool) {
 	t.specHist = shift(t.specHist, taken, t.cfg.GlobalHistBits)
 }
-
-// FixHistory resynchronizes the speculative history with the retired
-// history, modeling the rollback performed on mis-speculation
-// recovery.
-func (t *Tournament) FixHistory() { t.specHist = t.retHist }
 
 // RebuildSpec reconstructs the speculative history as the retired
 // history extended by the given in-flight branch outcomes in program
@@ -346,8 +341,7 @@ func (w *Way) Train(set int, way uint8) {
 }
 
 // RAS is a return address stack with wrap-around overflow, as on the
-// 21264 (which checkpoints and restores it across mis-speculation;
-// the timing model models that by using Snapshot/Restore).
+// 21264.
 type RAS struct {
 	entries []uint64
 	top     int // index of next push
@@ -378,18 +372,6 @@ func (r *RAS) Pop() (uint64, bool) {
 	r.depth--
 	return r.entries[r.top], true
 }
-
-// Snapshot captures the stack position for later Restore.
-func (r *RAS) Snapshot() RASMark { return RASMark{top: r.top, depth: r.depth} }
-
-// Restore rewinds the stack to a snapshot (mis-speculation recovery).
-func (r *RAS) Restore(m RASMark) { r.top, r.depth = m.top, m.depth }
-
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.depth }
-
-// RASMark is an opaque RAS position saved by Snapshot.
-type RASMark struct{ top, depth int }
 
 // LoadUse is the 21264 load-use predictor: a single four-bit
 // saturating counter that speculates whether loads hit in the L1 data

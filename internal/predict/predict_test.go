@@ -126,9 +126,9 @@ func TestTournamentSpecHistory(t *testing.T) {
 	if tr.history(true) == tr.history(false) {
 		t.Error("spec shift did not diverge histories")
 	}
-	tr.FixHistory()
+	tr.RebuildSpec(nil)
 	if tr.history(true) != tr.history(false) {
-		t.Error("FixHistory did not resync")
+		t.Error("RebuildSpec with no in-flight branches did not resync")
 	}
 }
 
@@ -193,26 +193,13 @@ func TestRASWrapAround(t *testing.T) {
 	r.Push(1)
 	r.Push(2)
 	r.Push(3) // overwrites 1
-	if r.Depth() != 2 {
-		t.Fatalf("depth = %d, want 2", r.Depth())
-	}
 	a, _ := r.Pop()
 	b, _ := r.Pop()
 	if a != 3 || b != 2 {
 		t.Errorf("pops = %d, %d; want 3, 2", a, b)
 	}
-}
-
-func TestRASSnapshotRestore(t *testing.T) {
-	r := NewRAS(8)
-	r.Push(1)
-	m := r.Snapshot()
-	r.Push(2)
-	r.Pop()
-	r.Pop()
-	r.Restore(m)
-	if a, ok := r.Pop(); !ok || a != 1 {
-		t.Errorf("after restore pop = %d, %v; want 1", a, ok)
+	if c, ok := r.Pop(); ok {
+		t.Errorf("third pop = %d, want an empty stack (depth 2)", c)
 	}
 }
 

@@ -342,16 +342,6 @@ func (t *TLB) Lookup(vaddr uint64) bool {
 // Size returns the TLB capacity in entries.
 func (t *TLB) Size() int { return len(t.entries) }
 
-// Reset invalidates all entries and clears counters.
-func (t *TLB) Reset() {
-	for i := range t.valid {
-		t.valid[i] = false
-	}
-	t.next = 0
-	t.lastOK = false
-	t.Hits, t.Misses = 0, 0
-}
-
 // ptBase is the physical region where synthetic page-table entries
 // live, so that walk references exercise the cache hierarchy like any
 // other access. It sits far above the program's working frames.
