@@ -1005,8 +1005,9 @@ func (s *sim) issueMem(e *entry, cluster int8) {
 	if res.TLBMiss {
 		s.col.Count(events.TLBMisses, 1)
 	}
-	// Remember where a load's data came from so head-of-window stall
-	// cycles can be charged to the right hierarchy level.
+	// Count the access's misses, and remember where a load's data came
+	// from so head-of-window stall cycles can be charged to the right
+	// hierarchy level.
 	comp, miss := res.Miss(&s.col)
 	if e.isLoad {
 		switch {
