@@ -357,22 +357,26 @@ func TestWorkloadSpecRoundTrip(t *testing.T) {
 // reads them back: Get must never panic, must return the payload only
 // when the first 32 bytes are the SHA-256 of the rest, and otherwise
 // must count a corrupt read and remove the file so a recomputed result
-// can land.
+// can land. Each fuzz process opens one store and every exec rewrites
+// the same entry: opening a store builds a directory tree, which would
+// cost more than the read under test.
 func FuzzStoreGet(f *testing.F) {
 	k := simcache.KeyOf("fuzz")
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := s.keyPath(k)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		s, err := Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := s.keyPath(k)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		before := s.CorruptReads()
 		got, ok := s.Get(k)
+		corrupt := s.CorruptReads() - before
 		valid := len(blob) >= sha256.Size
 		if valid {
 			sum := sha256.Sum256(blob[sha256.Size:])
@@ -382,12 +386,12 @@ func FuzzStoreGet(f *testing.F) {
 		switch {
 		case valid && (!ok || !bytes.Equal(got, blob[sha256.Size:])):
 			t.Fatalf("valid envelope: Get = %q, %v", got, ok)
-		case valid && (s.CorruptReads() != 0 || statErr != nil):
-			t.Fatalf("valid envelope counted corrupt (%d) or removed (%v)", s.CorruptReads(), statErr)
+		case valid && (corrupt != 0 || statErr != nil):
+			t.Fatalf("valid envelope counted corrupt (%d) or removed (%v)", corrupt, statErr)
 		case !valid && (ok || got != nil):
 			t.Fatalf("corrupt envelope served %q", got)
-		case !valid && (s.CorruptReads() != 1 || !os.IsNotExist(statErr)):
-			t.Fatalf("corrupt envelope: %d corrupt reads, file stat %v; want 1 and removed", s.CorruptReads(), statErr)
+		case !valid && (corrupt != 1 || !os.IsNotExist(statErr)):
+			t.Fatalf("corrupt envelope: %d corrupt reads, file stat %v; want 1 and removed", corrupt, statErr)
 		}
 	})
 }
