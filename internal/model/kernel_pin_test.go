@@ -89,9 +89,9 @@ func pinLine(c pinCell, r core.RunResult) string {
 		c.label, c.workload, r.Instructions, r.Cycles, sum[:8])
 }
 
-// TestAlphaKernelResultsPinned pins every cycle-level kernel's
-// results at 100k instructions: the 21264 family's, then
-// sim-outorder's, sim-inorder's and sim-interval's. The experiment
+// TestAlphaKernelResultsPinned pins every timing kernel's results at
+// 100k instructions: the 21264 family's, then sim-outorder's,
+// sim-inorder's and sim-interval's. The experiment
 // goldens run 15k-cell budgets and the full-length check is opt-in
 // (GOLDEN_FULL=1), so this is the tier-1 guard on the timing kernels
 // past short runs.
