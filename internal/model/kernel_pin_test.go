@@ -22,11 +22,13 @@ var update = flag.Bool("update", false, "re-bless testdata/kernel_pins.golden")
 // windows, overlapping misses, replay traps) is covered.
 const pinInsts = 100_000
 
-// pinCell is one pinned run: a machine config on a macrobenchmark.
+// pinCell is one pinned run: a machine config on a macrobenchmark,
+// sampled under plan when it is set.
 type pinCell struct {
 	label    string
 	cfg      any
 	workload string
+	plan     *core.SamplePlan
 }
 
 // pinCells lists every 21264-family backend on gcc, equake and art,
@@ -34,24 +36,31 @@ type pinCell struct {
 // slot that frees the cycle after issue, one that outlasts a DRAM
 // miss (so slots free at retirement), a zero-latency D-cache hit (a
 // load's consumer can issue in the load's own cycle) and the
-// smallest ROB. Then the other kernels on the same workloads:
+// smallest ROB. Then sim-alpha where its clock may jump over quiet
+// cycles: rename stalls that re-arm every cycle (MapStallLen 0), every
+// 7 cycles from a higher threshold, and on every renaming map (the
+// threshold at RenameRegs); one-wide retirement; a 4 KB trap granule;
+// and sampled runs of sim-alpha and sim-alpha-ddr, whose fetch
+// lookahead warms the hierarchy as it fills. Then the other kernels
+// on the same workloads:
 // sim-outorder, sim-inorder and sim-interval, the 8-way RUU machine,
 // and sim-outorder with Table 5's 40 rename registers and with a
 // zero-latency D-cache hit (a load completes in its issue cycle).
 func pinCells() []pinCell {
 	var cells []pinCell
+	var plan *core.SamplePlan
 	add := func(label string, cfg any) {
 		for _, w := range []string{"gcc", "equake", "art"} {
-			cells = append(cells, pinCell{label, cfg, w})
+			cells = append(cells, pinCell{label, cfg, w, plan})
 		}
 	}
-	registered := func(names ...string) {
+	registered := func(suffix string, names ...string) {
 		for _, name := range names {
 			d, err := ByName(name)
 			if err != nil {
 				panic(err)
 			}
-			add(name, d.Config)
+			add(name+suffix, d.Config)
 		}
 	}
 	alpha := func(set func(*AlphaConfig)) AlphaConfig {
@@ -64,12 +73,20 @@ func pinCells() []pinCell {
 		set(&cfg)
 		return cfg
 	}
-	registered("sim-alpha", "sim-stripped", "sim-initial", "native-ds10l", "sim-alpha-ddr")
+	registered("", "sim-alpha", "sim-stripped", "sim-initial", "native-ds10l", "sim-alpha-ddr")
 	add("sim-alpha/lag0", alpha(func(c *AlphaConfig) { c.QueueFreeLag = 0 }))
 	add("sim-alpha/lag400", alpha(func(c *AlphaConfig) { c.QueueFreeLag = 400 }))
 	add("sim-alpha/l1dhit0", alpha(func(c *AlphaConfig) { c.Hier.L1D.HitLatency = 0 }))
 	add("sim-alpha/rob8", alpha(func(c *AlphaConfig) { c.ROB = 2 * c.FetchWidth }))
-	registered("sim-outorder", "sim-inorder", "sim-interval")
+	add("sim-alpha/mapstall0", alpha(func(c *AlphaConfig) { c.MapStallLen = 0 }))
+	add("sim-alpha/mapstall7", alpha(func(c *AlphaConfig) { c.MapStallLen, c.MapStallFree = 7, 24 }))
+	add("sim-alpha/stallall", alpha(func(c *AlphaConfig) { c.MapStallFree = c.RenameRegs }))
+	add("sim-alpha/retire1", alpha(func(c *AlphaConfig) { c.RetireWidth = 1 }))
+	add("sim-alpha/granule4k", alpha(func(c *AlphaConfig) { c.TrapGranule = 4096 }))
+	plan = &core.SamplePlan{Period: 7500, Warmup: 750, Measure: 750}
+	registered("/sampled", "sim-alpha", "sim-alpha-ddr")
+	plan = nil
+	registered("", "sim-outorder", "sim-inorder", "sim-interval")
 	add("abstract-8way", EightWideRUUConfig())
 	add("sim-outorder/regs40", outorder(func(c *RUUConfig) { c.RenameRegs = 40 }))
 	add("sim-outorder/l1dhit0", outorder(func(c *RUUConfig) { c.Hier.L1D.HitLatency = 0 }))
@@ -109,7 +126,9 @@ func TestAlphaKernelResultsPinned(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		r, err := m.Run(w.Capped(pinInsts))
+		w = w.Capped(pinInsts)
+		w.Sample = c.plan
+		r, err := m.Run(w)
 		if err != nil {
 			return "", fmt.Errorf("%s on %s: %w", c.label, c.workload, err)
 		}
