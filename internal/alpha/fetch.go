@@ -298,6 +298,16 @@ func (s *sim) alloc(rec *cpu.Record) *entry {
 			g = 32
 		}
 		e.granule = rec.EA &^ (g - 1)
+		if e.isStore {
+			if len(s.stores) == cap(s.stores) {
+				// Compact the store cursor's list: every store from
+				// the cursor on is in flight, so they fit.
+				s.oldestUnissuedStore()
+				n := copy(s.stores, s.stores[s.storeHead:])
+				s.stores, s.storeHead = s.stores[:n], 0
+			}
+			s.stores = append(s.stores, e.inum)
+		}
 	}
 	return e
 }

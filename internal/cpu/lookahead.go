@@ -30,6 +30,10 @@ func (l *Lookahead) Fill(src Source) {
 // Len returns how many records the ring holds.
 func (l *Lookahead) Len() int { return l.n }
 
+// Full reports whether Fill would take nothing from its source: the
+// ring is full or the source is exhausted.
+func (l *Lookahead) Full() bool { return l.done || l.n == len(l.recs) }
+
 // At returns the i-th record held (0 = oldest); i < Len.
 func (l *Lookahead) At(i int) *Record { return &l.recs[l.wrap(l.head+i)] }
 
