@@ -187,17 +187,6 @@ func (c *Cache) Insert(paddr uint64, dirty bool) (victim uint64, victimOK, victi
 	return victim, victimOK, victimDirty
 }
 
-// Reset empties the cache and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-		c.age[i] = 0
-	}
-	c.clock = 0
-	c.Stats = Stats{}
-}
-
 // VictimBuffer is the 21264's eight-entry fully associative buffer
 // holding blocks recently evicted from the L1 data cache. A hit in
 // the buffer avoids the trip to L2.

@@ -41,20 +41,19 @@ func TestDataL1Hit(t *testing.T) {
 
 func TestLatencyOrdering(t *testing.T) {
 	h := newHier()
+	identity(h, 64)
 	// Cold access: L2 miss -> DRAM.
 	cold := h.Data(0x10000, false, 0)
 	if cold.L2Hit || cold.L1Hit {
 		t.Fatalf("cold = %+v", cold)
 	}
-	// Evict from L1 by filling its set (L1 is 2-way; 3 conflicting
-	// blocks at L1-set stride but different L2 sets would be needed;
-	// simpler: flush L1D by resetting it, keeping L2 warm).
-	h.L1D.Reset()
-	if h.VB != nil {
-		// Drain the victim buffer so it does not catch the access.
-		for i := 0; i < 8; i++ {
-			h.VB.Probe(h.L1D.Block(0x10000))
-		}
+	// Evict the block from the L1D, and then from the victim buffer,
+	// with blocks at the L1D's set stride: they share its L1D set but
+	// not its L2 set, so the L2 stays warm. Filling the set evicts it
+	// into the victim buffer; as many evictions again push it out.
+	l1SetStride := uint64(h.Cfg.L1D.Sets() * h.Cfg.L1D.BlockBytes)
+	for k := 1; k <= h.Cfg.L1D.Assoc+h.Cfg.VictimEntries; k++ {
+		h.Data(0x10000+uint64(k)*l1SetStride, false, uint64(k)*500)
 	}
 	l2hit := h.Data(0x10000, false, 10_000)
 	if !l2hit.L2Hit {
